@@ -8,6 +8,11 @@
 # deaths are environmental and consume their own --signal-retries
 # budget with per-config accounting in the manifest.
 #
+# It also pins the supervisor's wait: a child that ignores SIGTERM
+# past its --timeout is SIGKILLed, an interrupt during a retry
+# backoff ends the sweep without another attempt, and a child is
+# reaped as soon as it exits rather than on a polling period.
+#
 # Usage: retry_taxonomy_test.sh <texdist_sim> <sweep_runner> <workdir>
 set -u
 
@@ -81,5 +86,89 @@ MANIFEST="$WORK/slow/sweep_manifest.json"
     || fail "signal_deaths not accounted" \
             "(got $(field "$MANIFEST" slow signal_deaths), want 2)"
 
-echo "PASS: parse errors fail fast, environmental deaths retry on their own budget"
+# Wall-clock milliseconds, for the timing checks below.
+now_ms() { python3 -c 'import time; print(int(time.time() * 1000))'; }
+
+# Fake --sim scripts for the supervision checks: sweep_runner execs
+# whatever --sim names and only looks at its exit status and its
+# --result-csv output.
+fake_sim() { # path body
+    printf '#!/bin/sh\n%s\n' "$2" > "$1"
+    chmod +x "$1" || fail "cannot create $1"
+}
+
+# --- SIGTERM-ignoring child: the timeout escalates to SIGKILL. ------
+# An ignored disposition survives exec, so the sleep itself ignores
+# SIGTERM and only the SIGKILL 2 s later ends it.
+fake_sim "$WORK/stubborn.sh" "trap '' TERM; exec sleep 30"
+echo "stubborn: --dist=block" > "$WORK/stubborn.cfg"
+t0=$(now_ms)
+"$RUNNER" --sim="$WORK/stubborn.sh" --configs="$WORK/stubborn.cfg" \
+    --out="$WORK/stubborn" --timeout=1 --retries=0 --signal-retries=0
+[ $? -eq 2 ] || fail "killed config should make the sweep exit 2"
+elapsed=$(( $(now_ms) - t0 ))
+[ "$elapsed" -lt 10000 ] \
+    || fail "SIGKILL escalation took ${elapsed} ms (child sleeps 30 s)"
+
+MANIFEST="$WORK/stubborn/sweep_manifest.json"
+[ "$(field "$MANIFEST" stubborn exit_code)" = "137" ] \
+    || fail "escalated child should record exit 137" \
+            "(got $(field "$MANIFEST" stubborn exit_code))"
+[ "$(field "$MANIFEST" stubborn signal_deaths)" = "1" ] \
+    || fail "SIGKILL escalation not counted as a signal death"
+
+# --- SIGINT during the retry backoff: no further attempt. -----------
+# The child fails retryably (exit 2) at once; the runner then sleeps a
+# 30 s backoff, and an interrupt there must end the sweep, not start
+# attempt 2.
+fake_sim "$WORK/flaky.sh" "touch '$WORK/flaky.ran'; exit 2"
+echo "flaky: --dist=block" > "$WORK/flaky.cfg"
+"$RUNNER" --sim="$WORK/flaky.sh" --configs="$WORK/flaky.cfg" \
+    --out="$WORK/flaky" --retries=3 --backoff-ms=30000 \
+    > "$WORK/flaky.out" 2>&1 &
+pid=$!
+i=0
+while [ ! -e "$WORK/flaky.ran" ] && [ $i -lt 100 ]; do
+    sleep 0.1
+    i=$((i + 1))
+done
+[ -e "$WORK/flaky.ran" ] || fail "first attempt never ran"
+sleep 0.5 # let the runner reap the child and enter the backoff
+t0=$(now_ms)
+kill -INT "$pid"
+wait "$pid"
+rc=$?
+elapsed=$(( $(now_ms) - t0 ))
+[ "$rc" -eq 3 ] || fail "SIGINT in the backoff should exit 3 (got $rc)"
+[ "$elapsed" -lt 5000 ] \
+    || fail "interrupted backoff took ${elapsed} ms to exit"
+[ "$(field "$WORK/flaky/sweep_manifest.json" flaky attempts)" = "1" ] \
+    || fail "an attempt started after the interrupt (attempts=" \
+            "$(field "$WORK/flaky/sweep_manifest.json" flaky attempts))"
+
+# --- Instant children: supervision adds no per-child floor. ---------
+# A child that only copies a canned result CSV exits in a few ms, and
+# the runner must reap it as soon as it exits: 20 of them finish in
+# well under half a second.
+"$SIM" --scene=quake --scale=0.125 --procs=4 \
+    --result-csv="$WORK/canned.csv" > /dev/null \
+    || fail "cannot produce the canned CSV"
+fake_sim "$WORK/instant.sh" "for a; do case \$a in
+    --result-csv=*) exec cp '$WORK/canned.csv' \"\${a#--result-csv=}\";;
+esac; done; exit 1"
+: > "$WORK/instant.cfg"
+for n in $(seq 1 20); do
+    echo "c$n: --dist=block --param=$n" >> "$WORK/instant.cfg"
+done
+t0=$(now_ms)
+"$RUNNER" --sim="$WORK/instant.sh" --configs="$WORK/instant.cfg" \
+    --out="$WORK/instant" > /dev/null
+[ $? -eq 0 ] || fail "instant sweep should succeed"
+elapsed=$(( $(now_ms) - t0 ))
+[ "$elapsed" -lt 500 ] \
+    || fail "20 instant children took ${elapsed} ms (want < 500)"
+[ "$(wc -l < "$WORK/instant/sweep.csv")" -eq 21 ] \
+    || fail "instant sweep.csv should hold a header and 20 rows"
+
+echo "PASS: parse errors fail fast, environmental deaths retry on their own budget, SIGKILL escalation, interrupted backoff, no per-child wait floor"
 exit 0

@@ -69,11 +69,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -83,8 +85,10 @@
 #include <cerrno>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -228,8 +232,10 @@ usage()
         "  --fabric           run as one worker of a shared-queue\n"
         "                     multi-process sweep (needs --store)\n"
         "  --worker-id=<id>   fabric worker name (default w<pid>)\n"
-        "  --poll-ms=<n>      fabric idle/heartbeat poll period\n"
-        "                     (default 50)\n"
+        "  --poll-ms=<n>      fabric idle poll period and lease\n"
+        "                     heartbeat period while a child runs\n"
+        "                     (default 50); child exit is noticed\n"
+        "                     at once, not on this period\n"
         "  --lease-ttl-polls=<n>   polls without heartbeat change\n"
         "                     before a lease is stale (default "
         "100)\n"
@@ -611,9 +617,58 @@ isPermanentExit(int code)
     return code == 1 || (code >= 6 && code <= 9) || code == 11;
 }
 
+/** Block until @p pid is reaped; returns its wait status. */
+int
+reapChild(pid_t pid)
+{
+    int status = 0;
+    while (waitpid(pid, &status, 0) < 0)
+        if (errno != EINTR)
+            texdist_fatal("waitpid failed: ", std::strerror(errno));
+    return status;
+}
+
+/**
+ * A pidfd for one child (pidfd_open, Linux >= 5.3): it turns readable
+ * the moment the child exits, so the wait sleeps in poll() on it.
+ * Called through syscall() because glibc 2.36's <sys/pidfd.h> lacks
+ * extern "C" and does not link from C++.
+ */
+class PidFd
+{
+  public:
+    explicit PidFd(pid_t pid)
+        : _fd(int(::syscall(SYS_pidfd_open, pid, 0)))
+    {}
+    ~PidFd()
+    {
+        if (_fd >= 0)
+            ::close(_fd);
+    }
+    PidFd(const PidFd &) = delete;
+    PidFd &operator=(const PidFd &) = delete;
+
+    int fd() const { return _fd; }
+
+  private:
+    int _fd;
+};
+
+/** Sleep @p ms milliseconds; a caught signal cuts the sleep short. */
+void
+sleepMs(long ms)
+{
+    timespec ts{ms / 1000, (ms % 1000) * 1000 * 1000};
+    nanosleep(&ts, nullptr);
+}
+
+/**
+ * Run one attempt of @p cfg as a child process and wait for it to
+ * exit, calling @p heartbeat every --poll-ms while it runs.
+ */
 Attempt
 runChild(const RunnerOptions &opts, const SweepConfig &cfg,
-         const std::function<void()> &onPoll = nullptr)
+         const std::function<void()> &heartbeat = nullptr)
 {
     std::vector<std::string> args;
     args.push_back(opts.simPath);
@@ -649,44 +704,78 @@ runChild(const RunnerOptions &opts, const SweepConfig &cfg,
     }
 
     g_child = pid;
+    const PidFd pidfd(pid);
+    if (pidfd.fd() < 0) {
+        const int err = errno;
+        kill(pid, SIGKILL);
+        reapChild(pid);
+        g_child = -1;
+        texdist_fatal("pidfd_open failed: ", std::strerror(err),
+                      "; sweep_runner waits on child processes "
+                      "through pidfds and needs Linux >= 5.3");
+    }
+
+    // Pending deadlines, on a monotonic clock: the --timeout limit,
+    // the SIGKILL escalation 2 s after its SIGTERM, and the next
+    // lease heartbeat (every --poll-ms).
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point never = Clock::time_point::max();
+    const Clock::time_point start = Clock::now();
+    const std::chrono::milliseconds beatPeriod(opts.pollMs);
+    Clock::time_point limit = start + std::chrono::seconds(opts.timeoutSec);
+    Clock::time_point killAt = never;
+    Clock::time_point nextBeat = heartbeat ? start + beatPeriod : never;
     Attempt result;
-    const long poll_us = 50 * 1000;
-    long waited_us = 0;
-    const long limit_us = opts.timeoutSec * 1000 * 1000;
-    bool killed = false;
-    long term_deadline_us = 0;
+    bool forwarded = false;
 
     while (true) {
-        int status = 0;
-        pid_t done = waitpid(pid, &status, WNOHANG);
-        if (done == pid) {
-            if (WIFEXITED(status))
-                result.exitCode = WEXITSTATUS(status);
-            else if (WIFSIGNALED(status)) {
-                result.signalled = true;
-                result.exitCode = 128 + WTERMSIG(status);
-            }
-            break;
+        // onSignal forwards an interrupt only once g_child is set;
+        // one that landed in the fork window is forwarded here.
+        if (g_signal != 0 && !forwarded) {
+            kill(pid, SIGTERM);
+            forwarded = true;
         }
-        if (done < 0 && errno != EINTR)
-            texdist_fatal("waitpid failed: ", std::strerror(errno));
-
-        if (!result.timedOut && waited_us >= limit_us) {
+        const Clock::time_point now = Clock::now();
+        if (now >= limit) {
             // Over budget: ask nicely first so the child can flush,
             // then escalate.
             result.timedOut = true;
             kill(pid, SIGTERM);
-            term_deadline_us = waited_us + 2 * 1000 * 1000;
+            limit = never;
+            killAt = now + std::chrono::seconds(2);
         }
-        if (result.timedOut && !killed &&
-            waited_us >= term_deadline_us) {
+        if (now >= killAt) {
             kill(pid, SIGKILL);
-            killed = true;
+            killAt = never;
         }
-        if (onPoll)
-            onPoll();
-        usleep(useconds_t(poll_us));
-        waited_us += poll_us;
+        if (now >= nextBeat) {
+            heartbeat();
+            nextBeat = now + beatPeriod;
+        }
+
+        const Clock::time_point wake =
+            std::min({limit, killAt, nextBeat});
+        int timeout_ms = -1;
+        if (wake != never)
+            timeout_ms = int(std::min<int64_t>(
+                std::chrono::ceil<std::chrono::milliseconds>(wake - now)
+                    .count(),
+                std::numeric_limits<int>::max()));
+        pollfd pfd{pidfd.fd(), POLLIN, 0};
+        const int ready = ::poll(&pfd, 1, timeout_ms);
+        if (ready > 0)
+            break;
+        if (ready < 0 && errno != EINTR)
+            texdist_fatal("poll on child pidfd failed: ",
+                          std::strerror(errno));
+    }
+
+    const int status = reapChild(pid);
+    if (WIFEXITED(status))
+        result.exitCode = WEXITSTATUS(status);
+    else if (WIFSIGNALED(status)) {
+        result.signalled = true;
+        result.exitCode = 128 + WTERMSIG(status);
     }
     g_child = -1;
     return result;
@@ -703,7 +792,7 @@ runChild(const RunnerOptions &opts, const SweepConfig &cfg,
 void
 superviseConfig(const RunnerOptions &opts, SweepConfig &cfg,
                 bool &interrupted,
-                const std::function<void()> &onPoll = nullptr)
+                const std::function<void()> &heartbeat = nullptr)
 {
     int failRetries = 0;
     int sigRetries = 0;
@@ -713,11 +802,17 @@ superviseConfig(const RunnerOptions &opts, SweepConfig &cfg,
             long backoff = opts.backoffMs << (attempt - 1);
             std::cout << "  " << cfg.name << ": retry " << attempt
                       << " after " << backoff << " ms\n";
-            usleep(useconds_t(backoff) * 1000);
+            sleepMs(backoff);
+        }
+        // An interrupt during the backoff must not start another
+        // attempt.
+        if (g_signal != 0) {
+            interrupted = true;
+            return;
         }
         ++attempt;
         ++cfg.attempts;
-        Attempt result = runChild(opts, cfg, onPoll);
+        Attempt result = runChild(opts, cfg, heartbeat);
         cfg.exitCode = result.exitCode;
         if (g_signal != 0) {
             interrupted = true;
@@ -1133,22 +1228,13 @@ runSweepFabric(const RunnerOptions &opts,
     // the straggler-detection clock.
     std::map<std::string, uint64_t> inFlightPolls;
 
-    auto heartbeatFor = [&](const std::string &name) {
-        uint64_t polls = 0;
-        return std::function<void()>([&queue, name, polls]() mutable {
-            // One lease refresh per ~10 child polls keeps heartbeat
-            // I/O negligible next to the 50 ms supervision cadence.
-            if (++polls % 10 == 0)
-                queue.heartbeat(name);
-        });
-    };
-
     auto runClaimed = [&](size_t i, bool speculative) -> bool {
         SweepConfig &cfg = configs[i];
         bool interrupted = false;
-        superviseConfig(opts, cfg, interrupted,
-                        speculative ? std::function<void()>()
-                                    : heartbeatFor(cfg.name));
+        std::function<void()> heartbeat;
+        if (!speculative)
+            heartbeat = [&] { queue.heartbeat(cfg.name); };
+        superviseConfig(opts, cfg, interrupted, heartbeat);
         if (interrupted)
             return false;
         if (!speculative && !queue.owns(cfg.name)) {
@@ -1295,7 +1381,7 @@ runSweepFabric(const RunnerOptions &opts,
             }
         }
         if (!acted)
-            usleep(useconds_t(opts.pollMs) * 1000);
+            sleepMs(opts.pollMs);
     }
 
     writeFabricStats(opts, store, &queue, speculativeRuns);
