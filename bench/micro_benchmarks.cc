@@ -2,7 +2,7 @@
  * @file
  * Google-benchmark microbenchmarks for the simulator's hot paths:
  * rasterization, trilinear address generation (single and batched),
- * cache lookups and the event kernel. These guard the simulator's
+ * cache lookups (per texel and per fragment) and the event kernel. These guard the simulator's
  * own throughput (frames are hundreds of millions of texel
  * accesses), not the paper's results.
  *
@@ -242,6 +242,61 @@ BM_CacheAccess(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_CacheAccess)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
+
+/**
+ * One fragment's eight trilinear references per iteration, through
+ * the TextureCache interface the nodes use. Arg 0 makes eight
+ * access() calls, arg 1 one accessFragment() call; items are
+ * fragments, so the two rows compare the cost per fragment.
+ */
+void
+BM_CacheAccessFragment(benchmark::State &state)
+{
+    const bool batched = state.range(0) != 0;
+    // A 64x64-pixel window over a 256x256 texture in scanline order,
+    // minified by ~1.5: the coherent, mostly hitting stream of a
+    // textured wall.
+    Texture tex(0, 0, 256, 256);
+    constexpr int side = 64;
+    std::vector<uint64_t> addrs;
+    TexelRefs refs;
+    for (int y = 0; y < side; ++y) {
+        for (int x = 0; x < side; ++x) {
+            TrilinearSampler::generate(tex, float(x) * 1.5f / 256.0f,
+                                       float(y) * 1.5f / 256.0f,
+                                       0.58f, refs);
+            addrs.insert(addrs.end(), refs.begin(), refs.end());
+        }
+    }
+    const size_t frags = addrs.size() / texelsPerFragment;
+
+    std::unique_ptr<TextureCache> cache =
+        makeCache(CacheKind::SetAssoc, CacheGeometry{});
+    for (uint64_t a : addrs) // warmup: fill the cache
+        cache->access(a);
+
+    size_t f = 0;
+    for (auto _ : state) {
+        const uint64_t *frag = &addrs[f * texelsPerFragment];
+        uint32_t missed = 0;
+        if (batched) {
+            missed = cache->accessFragment(frag, texelsPerFragment);
+        } else {
+            for (int k = 0; k < texelsPerFragment; ++k)
+                missed += cache->access(frag[k]) ? 0 : 1;
+        }
+        benchmark::DoNotOptimize(missed);
+        f = f + 1 == frags ? 0 : f + 1;
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()));
+    state.SetLabel(batched ? "accessFragment" : "8x access");
+}
+BENCHMARK(BM_CacheAccessFragment)
+    ->ArgNames({"batched"})
+    ->Arg(0)
+    ->Arg(1)
     ->Repetitions(kRepetitions)
     ->ReportAggregatesOnly(true);
 

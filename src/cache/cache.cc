@@ -60,16 +60,26 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geometry)
     mruWay.assign(sets, 0);
 }
 
-bool
-SetAssocCache::access(uint64_t addr)
+uint32_t
+TextureCache::accessFragment(const uint64_t *addrs, int n)
 {
-    ++_accesses;
-    uint64_t line = addr >> lineShift;
-    uint32_t set = uint32_t(line & (sets - 1));
-    uint64_t tag = line >> setShift;
+    uint32_t missed = 0;
+    for (int k = 0; k < n; ++k)
+        missed += access(addrs[k]) ? 0 : 1;
+    return missed;
+}
 
-    uint64_t *set_tags = &tags[size_t(set) * geom.ways];
-    uint64_t *set_lru = &lruStamp[size_t(set) * geom.ways];
+template <bool Planted>
+inline bool
+SetAssocCache::accessInline(uint64_t line, uint64_t &clock,
+                            uint64_t &misses, size_t &slot,
+                            uint64_t &old_tag)
+{
+    const uint32_t set = uint32_t(line & (sets - 1));
+    const uint64_t tag = line >> setShift;
+    const size_t base = size_t(set) * geom.ways;
+    uint64_t *set_tags = &tags[base];
+    uint64_t *set_lru = &lruStamp[base];
 
     // Fast path: one probe of the set's MRU way. A hit here updates
     // exactly the state the associative scan would have (the LRU
@@ -77,9 +87,10 @@ SetAssocCache::access(uint64_t addr)
     // accounting, replacement and serialization.
     uint32_t mru = mruWay[set];
     if (set_tags[mru] == tag) {
-        uint64_t stamp = ++stampCounter;
-        if (!plantedSkipThisHit())
+        uint64_t stamp = ++clock;
+        if (!(Planted && plantedSkipThisHit()))
             set_lru[mru] = stamp;
+        slot = base + mru;
         return true;
     }
 
@@ -87,10 +98,11 @@ SetAssocCache::access(uint64_t addr)
     uint64_t oldest = UINT64_MAX;
     for (uint32_t w = 0; w < geom.ways; ++w) {
         if (set_tags[w] == tag) {
-            uint64_t stamp = ++stampCounter;
-            if (!plantedSkipThisHit())
+            uint64_t stamp = ++clock;
+            if (!(Planted && plantedSkipThisHit()))
                 set_lru[w] = stamp;
             mruWay[set] = w;
+            slot = base + w;
             return true;
         }
         if (set_lru[w] < oldest) {
@@ -99,11 +111,85 @@ SetAssocCache::access(uint64_t addr)
         }
     }
 
-    ++_misses;
+    ++misses;
+    old_tag = set_tags[victim];
     set_tags[victim] = tag;
-    set_lru[victim] = ++stampCounter;
+    set_lru[victim] = ++clock;
     mruWay[set] = victim;
+    slot = base + victim;
     return false;
+}
+
+bool
+SetAssocCache::access(uint64_t addr)
+{
+    ++_accesses;
+    size_t slot;
+    uint64_t old_tag;
+    return accessInline<true>(addr >> lineShift, stampCounter, _misses,
+                              slot, old_tag);
+}
+
+uint32_t
+SetAssocCache::missMask(const uint64_t *addrs, int n)
+{
+    uint32_t mask = 0;
+    if (lruSkipPeriod != 0) {
+        // The planted bug counts hits one access at a time.
+        for (int k = 0; k < n; ++k)
+            if (!access(addrs[k]))
+                mask |= 1u << k;
+        return mask;
+    }
+
+    uint64_t clock = stampCounter;
+    uint64_t misses = _misses;
+    _accesses += uint64_t(n);
+
+    if (n == 8) {
+        // Branch-free check that every reference hits its set's MRU
+        // way. Then the fragment changes nothing but eight stamps.
+        size_t slots[8];
+        bool all_mru = true;
+        for (int k = 0; k < 8; ++k) {
+            const uint64_t line = addrs[k] >> lineShift;
+            const uint32_t set = uint32_t(line & (sets - 1));
+            slots[k] = size_t(set) * geom.ways + mruWay[set];
+            all_mru &= tags[slots[k]] == (line >> setShift);
+        }
+        if (all_mru) {
+            for (int k = 0; k < 8; ++k)
+                lruStamp[slots[k]] = ++clock;
+            stampCounter = clock;
+            return 0;
+        }
+    }
+
+    uint64_t prev_line = 0;
+    size_t slot = 0;
+    for (int k = 0; k < n; ++k) {
+        const uint64_t line = addrs[k] >> lineShift;
+        if (k > 0 && line == prev_line) {
+            // The reference before left this line in `slot`.
+            lruStamp[slot] = ++clock;
+            continue;
+        }
+        prev_line = line;
+        uint64_t old_tag;
+        if (!accessInline<false>(line, clock, misses, slot, old_tag))
+            mask |= 1u << k;
+    }
+    stampCounter = clock;
+    _misses = misses;
+    return mask;
+}
+
+uint32_t
+SetAssocCache::accessFragment(const uint64_t *addrs, int n)
+{
+    if (n > maxMaskRefs)
+        return TextureCache::accessFragment(addrs, n);
+    return uint32_t(std::popcount(missMask(addrs, n)));
 }
 
 void
@@ -225,47 +311,16 @@ SetAssocCache::accessEvicting(uint64_t addr, uint64_t &evicted_addr,
 {
     evicted = false;
     ++_accesses;
-    uint64_t line = addr >> lineShift;
-    uint32_t set = uint32_t(line & (sets - 1));
-    uint64_t tag = line >> setShift;
-
-    uint64_t *set_tags = &tags[size_t(set) * geom.ways];
-    uint64_t *set_lru = &lruStamp[size_t(set) * geom.ways];
-
-    uint32_t mru = mruWay[set];
-    if (set_tags[mru] == tag) {
-        uint64_t stamp = ++stampCounter;
-        if (!plantedSkipThisHit())
-            set_lru[mru] = stamp;
+    const uint64_t line = addr >> lineShift;
+    size_t slot;
+    uint64_t old_tag;
+    if (accessInline<true>(line, stampCounter, _misses, slot, old_tag))
         return true;
-    }
-
-    uint32_t victim = 0;
-    uint64_t oldest = UINT64_MAX;
-    for (uint32_t w = 0; w < geom.ways; ++w) {
-        if (set_tags[w] == tag) {
-            uint64_t stamp = ++stampCounter;
-            if (!plantedSkipThisHit())
-                set_lru[w] = stamp;
-            mruWay[set] = w;
-            return true;
-        }
-        if (set_lru[w] < oldest) {
-            oldest = set_lru[w];
-            victim = w;
-        }
-    }
-
-    ++_misses;
-    if (set_tags[victim] != invalidTag) {
+    if (old_tag != invalidTag) {
         evicted = true;
-        evicted_addr =
-            ((set_tags[victim] << setShift) | uint64_t(set))
-            << lineShift;
+        evicted_addr = ((old_tag << setShift) | (line & (sets - 1)))
+                       << lineShift;
     }
-    set_tags[victim] = tag;
-    set_lru[victim] = ++stampCounter;
-    mruWay[set] = victim;
     return false;
 }
 

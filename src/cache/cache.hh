@@ -74,6 +74,15 @@ class TextureCache
      */
     virtual bool access(uint64_t addr) = 0;
 
+    /**
+     * Look up the @p n texel references of one fragment, in order.
+     * Leaves the cache in exactly the state that @p n access() calls
+     * would; the default body is that loop.
+     * @return how many of those access() calls would have returned
+     *         false
+     */
+    virtual uint32_t accessFragment(const uint64_t *addrs, int n);
+
     /** Drop all cached state and statistics. */
     virtual void reset() = 0;
 
@@ -135,6 +144,7 @@ class SetAssocCache : public TextureCache
     explicit SetAssocCache(const CacheGeometry &geometry);
 
     bool access(uint64_t addr) override;
+    uint32_t accessFragment(const uint64_t *addrs, int n) override;
     void reset() override;
     void serialize(CheckpointWriter &w) const override;
     void unserialize(CheckpointReader &r) override;
@@ -145,6 +155,17 @@ class SetAssocCache : public TextureCache
     {
         return geom.lineBytes / 4;
     }
+
+    /** Most references missMask() takes in one call. */
+    static constexpr int maxMaskRefs = 32;
+
+    /**
+     * accessFragment() reporting *which* references missed: bit k is
+     * set when addrs[k] missed. The non-inclusive two-level hierarchy
+     * forwards exactly those references to its L2.
+     * Requires n <= maxMaskRefs.
+     */
+    uint32_t missMask(const uint64_t *addrs, int n);
 
     const CacheGeometry &geometry() const { return geom; }
 
@@ -219,6 +240,21 @@ class SetAssocCache : public TextureCache
 
   private:
     static constexpr uint64_t invalidTag = UINT64_MAX;
+
+    /**
+     * The one probe body behind access(), accessEvicting() and
+     * missMask(). The LRU clock and the miss counter are the
+     * caller's, so a batched caller can keep them in locals: the tag
+     * and stamp stores are uint64_t too, and would otherwise force a
+     * reload of the members after every store. @p Planted compiles in
+     * the planted LRU-skip check. On return @p slot indexes the way
+     * now holding the line; on a miss @p old_tag receives the tag the
+     * fill replaced (invalidTag when the way was empty).
+     * @return true on hit
+     */
+    template <bool Planted>
+    bool accessInline(uint64_t line, uint64_t &clock, uint64_t &misses,
+                      size_t &slot, uint64_t &old_tag);
 
     /** True when the planted LRU bug says to skip this hit's touch. */
     bool

@@ -1,5 +1,7 @@
 #include "cache/two_level.hh"
 
+#include <bit>
+
 namespace texdist
 {
 
@@ -33,6 +35,25 @@ TwoLevelCache::access(uint64_t addr)
     if (!l2Cache.access(addr))
         ++_misses; // external fetch
     return false;
+}
+
+uint32_t
+TwoLevelCache::accessFragment(const uint64_t *addrs, int n)
+{
+    if (strictInclusive || n > SetAssocCache::maxMaskRefs)
+        return TextureCache::accessFragment(addrs, n);
+
+    _accesses += uint64_t(n);
+    uint32_t mask = l1Cache.missMask(addrs, n);
+    if (mask == 0)
+        return 0;
+    uint64_t l1_missed[SetAssocCache::maxMaskRefs];
+    int m = 0;
+    for (; mask != 0; mask &= mask - 1)
+        l1_missed[m++] = addrs[std::countr_zero(mask)];
+    _l1Misses += uint64_t(m);
+    _misses += uint64_t(std::popcount(l2Cache.missMask(l1_missed, m)));
+    return uint32_t(m);
 }
 
 void

@@ -51,6 +51,17 @@ class TwoLevelCache : public TextureCache
      */
     bool access(uint64_t addr) override;
 
+    /**
+     * One fragment's references. Without strict inclusion the L1
+     * takes the whole fragment first and its misses then reach the L2
+     * in order: the L1 never depends on the L2, so the end state is
+     * the per-access one. Strict inclusion keeps the per-reference
+     * interleave, because an L2 eviction can back-invalidate an L1
+     * line that a later reference of the same fragment uses.
+     * @return L1 misses, as for access()
+     */
+    uint32_t accessFragment(const uint64_t *addrs, int n) override;
+
     void reset() override;
     void serialize(CheckpointWriter &w) const override;
     void unserialize(CheckpointReader &r) override;

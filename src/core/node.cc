@@ -177,8 +177,13 @@ TextureNode::scanFragments(TextureId texid,
             // accesses-per-pixel ledger for the oracle to notice.
             int k0 =
                 (_plantTexelLeak && base == 0 && i == 0) ? 1 : 0;
-            for (int k = k0; k < texelsPerFragment; ++k) {
-                if (!cache->access(addrs[k]) && bus) {
+            uint32_t missed = cache->accessFragment(
+                addrs + k0, texelsPerFragment - k0);
+            // Every miss issues one line fill at `issue`; the bus
+            // never looks at the cache, so the fills can follow the
+            // whole fragment's lookups.
+            if (bus) {
+                for (; missed > 0; --missed) {
                     Tick arrival =
                         bus->transfer(issue, texels_per_fill);
                     retire = std::max(retire, arrival);
@@ -291,10 +296,8 @@ TextureNode::functionalScan(TextureId texid,
                                         addrScratch.data());
 
         const uint64_t *addrs = addrScratch.data();
-        for (size_t i = 0; i < m; ++i, addrs += texelsPerFragment) {
-            for (int k = 0; k < texelsPerFragment; ++k)
-                cache->access(addrs[k]);
-        }
+        for (size_t i = 0; i < m; ++i, addrs += texelsPerFragment)
+            cache->accessFragment(addrs, texelsPerFragment);
     }
 }
 

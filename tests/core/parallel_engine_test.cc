@@ -10,6 +10,7 @@
 
 #include <fstream>
 #include <iterator>
+#include <string>
 #include <vector>
 
 #include "core/interframe.hh"
@@ -152,6 +153,106 @@ TEST(ParallelEngine, BlockedFrameMatchesEventDrivenMachine)
     // The buffer must actually have filled, or this config is not
     // exercising the back-pressure path at all.
     EXPECT_EQ(seq.frames[0].fifoMaxOccupancy, 4u);
+}
+
+/** Background walls plus two clusters of small triangles. */
+Scene
+clusterScene(uint32_t screen = 128)
+{
+    SceneBuilder b("clusters", screen, screen, 41);
+    auto pool = b.makeTexturePool(4, 16, 64);
+    b.addBackgroundLayer(pool, 48, 48, 0.5);
+    b.addCluster(40, 50, 18, 120, 30.0, pool[0], 1.0);
+    b.addCluster(96, 88, 12, 80, 20.0, pool[1], 2.0);
+    return b.take();
+}
+
+/**
+ * runFrame (event-driven) against a one-frame SequenceMachine
+ * (two-phase): frame time and every NodeResult counter must agree.
+ */
+void
+expectEnginesAgree(const Scene &scene, const MachineConfig &cfg,
+                   const std::string &what)
+{
+    FrameResult ev = runFrame(scene, cfg);
+    SequenceMachine machine(scene, cfg, 1);
+    FrameResult tp = machine.runFrame(scene);
+
+    ASSERT_FALSE(ev.failed) << what;
+    ASSERT_FALSE(tp.failed) << what;
+    EXPECT_EQ(tp.frameTime, ev.frameTime) << what;
+    EXPECT_EQ(tp.totalPixels, ev.totalPixels) << what;
+    EXPECT_EQ(tp.totalTexelsFetched, ev.totalTexelsFetched) << what;
+    EXPECT_EQ(tp.trianglesDispatched, ev.trianglesDispatched) << what;
+    ASSERT_EQ(tp.nodes.size(), ev.nodes.size()) << what;
+    for (size_t n = 0; n < ev.nodes.size(); ++n) {
+        const NodeResult &a = ev.nodes[n];
+        const NodeResult &b = tp.nodes[n];
+        std::string at = what + " node" + std::to_string(n);
+        EXPECT_EQ(b.pixels, a.pixels) << at;
+        EXPECT_EQ(b.triangles, a.triangles) << at;
+        EXPECT_EQ(b.finishTime, a.finishTime) << at;
+        EXPECT_EQ(b.cacheAccesses, a.cacheAccesses) << at;
+        EXPECT_EQ(b.cacheMisses, a.cacheMisses) << at;
+        EXPECT_EQ(b.texelsFetched, a.texelsFetched) << at;
+        EXPECT_EQ(b.stallCycles, a.stallCycles) << at;
+        EXPECT_EQ(b.idleCycles, a.idleCycles) << at;
+        EXPECT_EQ(b.setupBoundTriangles, a.setupBoundTriangles) << at;
+        EXPECT_EQ(b.setupWaitCycles, a.setupWaitCycles) << at;
+        EXPECT_EQ(b.busUtilization, a.busUtilization) << at;
+        // Known gap: in the event-driven machine the feeder's
+        // initial same-tick burst lands before the node's first pop
+        // at that tick, while fifoHighWater's pops-win-ties replay
+        // lets that pop go first. The event-driven high-water mark
+        // can therefore read exactly one higher. Closing the gap on
+        // either side changes golden digests, so it waits for the
+        // merge of the two timing engines (ROADMAP.md).
+        EXPECT_TRUE(a.fifoMaxOccupancy == b.fifoMaxOccupancy ||
+                    a.fifoMaxOccupancy == b.fifoMaxOccupancy + 1)
+            << at << ": event-driven " << a.fifoMaxOccupancy
+            << ", two-phase " << b.fifoMaxOccupancy;
+    }
+}
+
+/**
+ * Differential matrix for retiring the event-driven machine: procs
+ * {4, 16, 64} x tile {2, 8, 32} x triangle buffer {1, 4, 500,
+ * 10000} on two small scenes. Block runs the flat L1, SLI the
+ * two-level hierarchy (see the two config helpers).
+ */
+void
+expectMatrixAgrees(DistKind dist)
+{
+    const Scene scenes[] = {wallScene(), clusterScene()};
+    for (const Scene &scene : scenes) {
+        for (uint32_t procs : {4u, 16u, 64u}) {
+            for (uint32_t tile : {2u, 8u, 32u}) {
+                for (uint32_t buffer : {1u, 4u, 500u, 10000u}) {
+                    MachineConfig cfg = dist == DistKind::Block
+                                            ? blockConfig(procs)
+                                            : sliConfig(procs);
+                    cfg.tileParam = tile;
+                    cfg.triangleBufferSize = buffer;
+                    expectEnginesAgree(
+                        scene, cfg,
+                        scene.name + " procs=" + std::to_string(procs) +
+                            " tile=" + std::to_string(tile) +
+                            " buffer=" + std::to_string(buffer));
+                }
+            }
+        }
+    }
+}
+
+TEST(ParallelEngine, BlockMatrixMatchesEventDrivenMachine)
+{
+    expectMatrixAgrees(DistKind::Block);
+}
+
+TEST(ParallelEngine, SliMatrixMatchesEventDrivenMachine)
+{
+    expectMatrixAgrees(DistKind::SLI);
 }
 
 TEST(ParallelEngine, CheckpointBytesAreJobsInvariant)
