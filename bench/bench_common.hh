@@ -34,6 +34,18 @@ inline const std::vector<uint32_t> procCounts = {1, 2, 4, 8, 16, 32,
                                                  64};
 
 /** The paper's fixed machine parameters as a starting config. */
+/**
+ * Column label of one distribution parameter: "w8" for a block
+ * width, "l4" for SLI lines. Built with append: GCC 12 warns
+ * -Wrestrict, falsely, on `"w" + std::to_string(p)`.
+ */
+inline std::string
+paramLabel(DistKind kind, uint32_t param)
+{
+    return std::string(kind == DistKind::Block ? "w" : "l")
+        .append(std::to_string(param));
+}
+
 inline MachineConfig
 paperConfig()
 {

@@ -38,8 +38,7 @@ imbalanceTable(const std::vector<Scene> &scenes, DistKind kind,
               << procs << " processors, perfect cache ==\n";
     std::vector<std::string> headers = {"scene"};
     for (uint32_t p : params)
-        headers.push_back((kind == DistKind::Block ? "w" : "l") +
-                          std::to_string(p));
+        headers.push_back(paramLabel(kind, p));
     TablePrinter table(std::cout, headers, 9);
     table.printHeader();
     csv.header(headers);
@@ -73,8 +72,7 @@ speedupGraph(FrameLab &lab, DistKind kind,
               << ", perfect cache (setup engine modelled) ==\n";
     std::vector<std::string> headers = {"procs"};
     for (uint32_t p : params)
-        headers.push_back((kind == DistKind::Block ? "w" : "l") +
-                          std::to_string(p));
+        headers.push_back(paramLabel(kind, p));
     TablePrinter table(std::cout, headers, 9);
     table.printHeader();
     csv.header(headers);

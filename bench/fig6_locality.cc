@@ -42,8 +42,7 @@ localityGraph(const Scene &scene, DistKind kind,
                  "caches, infinite bus ==\n";
     std::vector<std::string> headers = {"procs"};
     for (uint32_t p : params)
-        headers.push_back((kind == DistKind::Block ? "w" : "l") +
-                          std::to_string(p));
+        headers.push_back(paramLabel(kind, p));
     TablePrinter table(std::cout, headers, 9);
     table.printHeader();
     csv.header(headers);

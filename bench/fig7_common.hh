@@ -36,9 +36,7 @@ runFig7(double bus_ratio, const BenchOptions &opts)
                       << to_string(kind) << " ==\n";
             std::vector<std::string> headers = {"scene"};
             for (uint32_t p : params)
-                headers.push_back(
-                    (kind == DistKind::Block ? "w" : "l") +
-                    std::to_string(p));
+                headers.push_back(paramLabel(kind, p));
             headers.push_back("best");
             TablePrinter table(std::cout, headers, 8);
             table.printHeader();
@@ -74,10 +72,8 @@ runFig7(double bus_ratio, const BenchOptions &opts)
                     table.cell(s, 2);
                     csv.value(s);
                 }
-                table.cell((kind == DistKind::Block ? "w" : "l") +
-                           std::to_string(best_param));
-                csv.value((kind == DistKind::Block ? "w" : "l") +
-                          std::to_string(best_param));
+                table.cell(paramLabel(kind, best_param));
+                csv.value(paramLabel(kind, best_param));
                 table.endRow();
                 csv.endRow();
             }

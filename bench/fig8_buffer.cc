@@ -38,7 +38,7 @@ bufferGraph(FrameLab &lab, bool perfect, const BenchOptions &opts)
                  "truc640, 64 processors, block distribution ==\n";
     std::vector<std::string> headers = {"width"};
     for (uint32_t b : bufferSizes)
-        headers.push_back("b" + std::to_string(b));
+        headers.push_back(std::string("b").append(std::to_string(b)));
     TablePrinter table(std::cout, headers, 9);
     table.printHeader();
     csv.header(headers);

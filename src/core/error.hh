@@ -25,8 +25,8 @@
  *      5  replay divergence (digest mismatch against a manifest)
  *      6  malformed trace file
  *      7  malformed checkpoint
- *      8  malformed JSON (config, run manifest, sweep manifest)
- *      9  malformed result/resume CSV
+ *      8  malformed JSON (config, run manifest)
+ *      9  malformed result CSV
  *     10  fabric lease lost (a worker's claim was seized)
  *     11  fabric store corrupt (malformed store entry / lease file)
  *     12  fabric entries quarantined (fsck moved damaged entries)
@@ -61,8 +61,8 @@ enum class ParseSurface : uint8_t
 {
     Trace,      ///< binary triangle trace (src/trace)
     Checkpoint, ///< checkpoint blob (sim/checkpoint)
-    Json,       ///< JSON config / run or sweep manifest (core/json)
-    Csv,        ///< per-frame result / sweep-resume CSV (core/replay)
+    Json,       ///< JSON config / run manifest (core/json)
+    Csv,        ///< per-frame result CSV (core/replay)
     Cli,        ///< command-line options (core/options, src/fault)
     Fabric,     ///< result-store entry / lease file (src/fabric)
 };

@@ -1,15 +1,16 @@
 /**
  * @file
- * Minimal JSON reading/writing for the run and sweep manifests — the
- * crash-safe metadata files the resumable runners leave behind. This
+ * Minimal JSON reading/writing for run manifests, fabric queue
+ * markers and stats — the crash-safe metadata files the simulator
+ * and the sweep runner leave behind. This
  * is deliberately a subset implementation (objects, arrays, strings,
  * finite numbers, booleans, null; \uXXXX escapes limited to ASCII)
  * sized for manifests we write ourselves, but hardened for hostile
  * bytes: nesting is capped, duplicate keys and invalid UTF-8 are
  * rejected, and numbers must fit a double. Malformed input throws a
  * typed ParseError (surface: json, exit code 8) with byte offset and
- * line/column: a resume decision made from a half-understood
- * manifest would silently drop results.
+ * line/column: a replay or resume decision made from a
+ * half-understood manifest would silently drop results.
  */
 
 #ifndef TEXDIST_CORE_JSON_HH

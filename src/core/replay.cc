@@ -413,50 +413,11 @@ parseFrameCsvText(const std::string &text, const std::string &what)
     }
 }
 
-namespace
-{
-
-std::string
-slurpCsv(const std::string &path)
-{
-    return io::readFileAs(path, ParseSurface::Csv, "result CSV");
-}
-
-} // namespace
-
 std::vector<FrameCsvRow>
 parseFrameCsvFile(const std::string &path)
 {
-    return parseFrameCsvText(slurpCsv(path), path);
-}
-
-TolerantCsvParse
-parseFrameCsvTextTolerant(const std::string &text,
-                          const std::string &what)
-{
-    TolerantCsvParse result;
-    size_t lastNl = text.find_last_of('\n');
-    if (lastNl == std::string::npos) {
-        // No complete record at all — even the header was cut. The
-        // complete prefix is empty; everything is the torn tail.
-        result.tornTail = !text.empty();
-        result.tail = text;
-        return result;
-    }
-    std::string prefix = text.substr(0, lastNl + 1);
-    std::string tail = text.substr(lastNl + 1);
-    result.rows = parseFrameCsvText(prefix, what);
-    if (!tail.empty()) {
-        result.tornTail = true;
-        result.tail = std::move(tail);
-    }
-    return result;
-}
-
-TolerantCsvParse
-parseFrameCsvFileTolerant(const std::string &path)
-{
-    return parseFrameCsvTextTolerant(slurpCsv(path), path);
+    return parseFrameCsvText(
+        io::readFileAs(path, ParseSurface::Csv, "result CSV"), path);
 }
 
 } // namespace texdist

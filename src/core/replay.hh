@@ -116,12 +116,12 @@ struct FrameCsvRow
 };
 
 /**
- * Strict parser for the per-frame result CSV consumed on sweep
- * resume: the header must match frameCsvHeader() exactly, every row
+ * Strict parser for the per-frame result CSV a sweep merges and
+ * publishes: the header must match frameCsvHeader() exactly, every row
  * needs all 12 columns with strictly-parsed numerics, a 16-hex-digit
  * digest, and strictly increasing frame numbers. Malformed input
  * throws ParseError (surface: csv, exit code 9) carrying the byte
- * offset, row index and column name — a resume decision made from a
+ * offset, row index and column name — a merge made from a
  * half-understood CSV would silently drop or duplicate results.
  * @p what labels diagnostics in place of a file path.
  */
@@ -130,41 +130,6 @@ parseFrameCsvText(const std::string &text, const std::string &what);
 
 /** parseFrameCsvText() over a file; Io ParseError when unreadable. */
 std::vector<FrameCsvRow> parseFrameCsvFile(const std::string &path);
-
-/**
- * Result of a torn-tail-tolerant parse: the rows of the complete
- * prefix, plus whether a torn final record was dropped to get them.
- */
-struct TolerantCsvParse
-{
-    std::vector<FrameCsvRow> rows;
-
-    /**
-     * True when the input did not end in a newline and the trailing
-     * fragment was discarded — the signature of a writer cut down
-     * mid-record (power loss, SIGKILL during a non-atomic append).
-     */
-    bool tornTail = false;
-
-    /** The discarded fragment, for the caller's warning. */
-    std::string tail;
-};
-
-/**
- * Torn-tail-tolerant variant of parseFrameCsvText() for *resume*
- * decisions: a file whose final record was cut mid-write (no
- * terminating newline) parses to its complete prefix with
- * `tornTail` set, instead of rejecting the whole file — the caller
- * truncates-and-continues with a warning. Corruption anywhere in
- * the newline-terminated prefix still throws ParseError: only the
- * one damage shape a torn write can produce is forgiven.
- */
-TolerantCsvParse
-parseFrameCsvTextTolerant(const std::string &text,
-                          const std::string &what);
-
-/** parseFrameCsvTextTolerant() over a file. */
-TolerantCsvParse parseFrameCsvFileTolerant(const std::string &path);
 
 } // namespace texdist
 

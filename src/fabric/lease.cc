@@ -125,6 +125,16 @@ LeaseQueue::release(const std::string &name)
     _held.erase(name);
 }
 
+void
+LeaseQueue::releaseAll()
+{
+    while (!_held.empty()) {
+        // A copy: release() erases the map node that holds the key.
+        const std::string name = _held.begin()->first;
+        release(name);
+    }
+}
+
 uint64_t
 LeaseQueue::observeUnchanged(const std::string &name)
 {

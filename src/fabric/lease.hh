@@ -87,6 +87,12 @@ class LeaseQueue
     void release(const std::string &name);
 
     /**
+     * Release every lease still held, best-effort: a lease a peer
+     * seized, or one this worker cannot read back, is left alone.
+     */
+    void releaseAll();
+
+    /**
      * Observe @p name's lease once and return how many consecutive
      * observations (including this one) saw no change. 0 means the
      * lease file is absent. Call once per poll round; the staleness

@@ -166,8 +166,9 @@ TEST(TwoLevelCache, StrictInclusionHoldsUnderRandomTraffic)
     Rng rng(97);
     for (int i = 0; i < 20000; ++i) {
         cache.access(uint64_t(rng.uniformInt(0, 1 << 16)));
-        if (i % 1000 == 999)
+        if (i % 1000 == 999) {
             ASSERT_TRUE(inclusionHolds(cache)) << "after access " << i;
+        }
     }
     // Structural sanity survives the churn too.
     EXPECT_EQ(cache.l1().stampClock(), cache.accesses());

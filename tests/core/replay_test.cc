@@ -254,85 +254,5 @@ TEST(ReplayError, RestoreIntoMismatchedConfigIsTyped)
     }
 }
 
-const char *const csvHeader =
-    "frame,cycles,pixels,texels_fetched,triangles,"
-    "texel_fragment_ratio,imbalance_pct,bus_util,faults_injected,"
-    "degraded,failed,digest\n";
-const char *const csvRow0 =
-    "0,123456,4096,8192,128,2.0,1.5,0.25,0,0,0,00000000deadbeef\n";
-const char *const csvRow1 =
-    "1,123999,4096,8200,128,2.002,1.25,0.5,1,1,0,00000000cafef00d\n";
-
-TEST(TolerantCsv, CleanTextParsesWithNoTornTail)
-{
-    std::string text =
-        std::string(csvHeader) + csvRow0 + csvRow1;
-    TolerantCsvParse parsed =
-        parseFrameCsvTextTolerant(text, "clean");
-    EXPECT_FALSE(parsed.tornTail);
-    EXPECT_TRUE(parsed.tail.empty());
-    ASSERT_EQ(parsed.rows.size(), 2u);
-    EXPECT_EQ(parsed.rows[1].frame, 1u);
-}
-
-TEST(TolerantCsv, FinalRecordCutMidWriteIsTruncatedNotRejected)
-{
-    // The crash-during-append shape: a complete prefix, then the
-    // last record cut partway through (no trailing newline).
-    std::string torn = std::string(csvHeader) + csvRow0 +
-                       "1,123999,4096,82";
-    // The strict parser rejects this file outright...
-    EXPECT_THROW(parseFrameCsvText(torn, "torn"), ParseError);
-    // ...the tolerant one salvages the complete prefix and reports
-    // what it dropped, so --resume can truncate-and-continue.
-    TolerantCsvParse parsed =
-        parseFrameCsvTextTolerant(torn, "torn");
-    EXPECT_TRUE(parsed.tornTail);
-    EXPECT_EQ(parsed.tail, "1,123999,4096,82");
-    ASSERT_EQ(parsed.rows.size(), 1u);
-    EXPECT_EQ(parsed.rows[0].frame, 0u);
-}
-
-TEST(TolerantCsv, HeaderItselfCutMidWriteYieldsNoRows)
-{
-    TolerantCsvParse parsed =
-        parseFrameCsvTextTolerant("frame,cycles,pix", "stub");
-    EXPECT_TRUE(parsed.tornTail);
-    EXPECT_TRUE(parsed.rows.empty());
-    TolerantCsvParse empty = parseFrameCsvTextTolerant("", "empty");
-    EXPECT_FALSE(empty.tornTail);
-    EXPECT_TRUE(empty.rows.empty());
-}
-
-TEST(TolerantCsvError, DamageInsideTheCompletePrefixStillThrows)
-{
-    // Tolerance is for torn *tails* only: corruption inside a
-    // newline-terminated record is real damage and must stay a
-    // typed rejection, never silently dropped.
-    std::string bad = std::string(csvHeader) +
-                      "0,123456,4096,8192,128,2.0,1.5,0.25,0,0,0,"
-                      "zznotahexdigest!\n" +
-                      "1,12"; // plus a torn tail
-    try {
-        parseFrameCsvTextTolerant(bad, "prefix-damage");
-        FAIL() << "corrupt prefix accepted";
-    } catch (const ParseError &e) {
-        EXPECT_EQ(e.surface(), ParseSurface::Csv);
-        EXPECT_EQ(e.exitCode(), 9);
-    }
-}
-
-TEST(TolerantCsv, FileVariantMatchesTextVariant)
-{
-    std::string path = ::testing::TempDir() + "/torn-tail.csv";
-    std::string torn =
-        std::string(csvHeader) + csvRow0 + "1,123999";
-    atomicWriteFile(path, torn);
-    TolerantCsvParse parsed = parseFrameCsvFileTolerant(path);
-    EXPECT_TRUE(parsed.tornTail);
-    EXPECT_EQ(parsed.tail, "1,123999");
-    ASSERT_EQ(parsed.rows.size(), 1u);
-}
-
 } // namespace
 } // namespace texdist

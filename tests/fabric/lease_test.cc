@@ -123,6 +123,22 @@ TEST(LeaseQueue, StaleLeaseCanBeStolenAndLoserStandsDown)
     EXPECT_EQ(live.read("cfg")->worker, "live");
 }
 
+TEST(LeaseQueue, ReleaseAllFreesOnlyTheLeasesStillHeld)
+{
+    std::string dir = freshDir("lease-release-all");
+    LeaseQueue a(dir, "alice");
+    LeaseQueue b(dir, "bob");
+    ASSERT_TRUE(a.tryClaim("c1"));
+    ASSERT_TRUE(a.tryClaim("c2"));
+    ASSERT_TRUE(b.steal("c2")); // a peer seized c2 from alice
+
+    a.releaseAll();
+    EXPECT_FALSE(a.isClaimed("c1"));
+    EXPECT_TRUE(b.owns("c2"));
+    a.releaseAll(); // nothing left to release
+    EXPECT_TRUE(b.owns("c2"));
+}
+
 TEST(LeaseQueue, GenerationFencesAStaleSelfLease)
 {
     std::string dir = freshDir("lease-fence");

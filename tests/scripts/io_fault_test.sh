@@ -11,8 +11,9 @@
 #
 #   2. rename-fail mid-store-publication: the publishing rename of
 #      the first store entry fails. The sweep must die with exit 14,
-#      the store must hold no partial entry (--fsck clean), and a
-#      warm re-run over the surviving state must complete.
+#      the store must hold no partial entry (--fsck clean), the
+#      worker must have released its lease, and a re-run over the
+#      surviving state must complete.
 #
 # Usage: io_fault_test.sh <texdist_sim> <sweep_runner> <workdir>
 set -u
@@ -96,10 +97,15 @@ LEFTOVER=$(ls "$WORK/store" | grep -v "\.res$" || true)
 grep -q " 0 quarantined" "$WORK/fsck.txt" \
     || fail "fsck quarantined entries: $(cat "$WORK/fsck.txt")"
 
+# The typed I/O exit is a graceful stop: the worker released its
+# lease, so the re-run below need not wait out the lease TTL.
+LEFTOVER=$(ls "$WORK/s1/queue" | grep "\.lease$" || true)
+[ -z "$LEFTOVER" ] || fail "exit 14 left a lease behind: $LEFTOVER"
+
 # The surviving state resumes: the same sweep, no faults, completes
 # and merges.
 "$RUNNER" --sim="$SIM" --configs="$CONFIGS" --out="$WORK/s1" \
-    --store="$WORK/store" --resume -- $COMMON > /dev/null 2>&1 \
+    --store="$WORK/store" -- $COMMON > /dev/null 2>&1 \
     || fail "warm re-run over surviving state failed"
 [ -f "$WORK/s1/sweep.csv" ] || fail "warm re-run merged no sweep.csv"
 

@@ -3,8 +3,10 @@
 #
 # Runs a small sweep to completion to obtain reference output, then
 # runs the same sweep again, SIGKILLs the runner (and its child) midway
-# through, resumes with --resume, and asserts the merged sweep.csv is
-# byte-identical to the uninterrupted run. This is the end-to-end
+# through, re-runs the same command, and asserts the merged sweep.csv
+# is byte-identical to the uninterrupted run. A SIGKILL leaves the
+# killed worker's lease behind, so the re-run also drives the
+# stale-lease seizure (after the lease TTL). This is the end-to-end
 # guarantee behind every robustness feature in the simulator: a run
 # that dies at an arbitrary point can always be completed without
 # changing a single measured number.
@@ -33,7 +35,7 @@ block16: --dist=block --param=16
 sli2:    --dist=sli --param=2
 EOF
 
-COMMON="--scene=quake --scale=0.25 --procs=4 --frames=6"
+COMMON="--scene=quake --scale=0.25 --procs=4 --frames=100"
 
 # --- Reference: uninterrupted sweep. --------------------------------
 "$RUNNER" --sim="$SIM" --configs="$CONFIGS" --out="$WORK/ref" \
@@ -73,12 +75,32 @@ else
     echo "note: sweep finished before SIGKILL; resume is a no-op"
 fi
 
-[ -f "$WORK/kill/sweep.csv" ] && [ ! -f "$WORK/kill/sweep_manifest.json" ] \
-    && fail "merged CSV exists without a manifest"
+# A done marker is written only after its result CSV, and the merge
+# only after every config is done.
+for done in "$WORK"/kill/queue/*.done; do
+    [ -e "$done" ] || continue
+    name=$(basename "$done" .done)
+    [ -f "$WORK/kill/$name.csv" ] \
+        || fail "$name is marked done without its result CSV"
+done
+if [ -f "$WORK/kill/sweep.csv" ]; then
+    for name in block8 block16 sli2; do
+        [ -f "$WORK/kill/queue/$name.done" ] \
+            || fail "merged CSV exists but $name has no done marker"
+    done
+fi
 
-"$RUNNER" --sim="$SIM" --configs="$CONFIGS" --out="$WORK/kill" --resume \
-    -- $COMMON \
-    || fail "resumed sweep exited nonzero"
+# The killed worker held a lease: the re-run must seize it once the
+# lease TTL runs out.
+STALE=$(ls "$WORK/kill/queue" | grep "\.lease$" || true)
+
+"$RUNNER" --sim="$SIM" --configs="$CONFIGS" --out="$WORK/kill" \
+    -- $COMMON > "$WORK/rerun.log" 2>&1 \
+    || fail "resumed sweep exited nonzero: $(cat "$WORK/rerun.log")"
+if [ -n "$STALE" ]; then
+    grep -q "seized stale lease" "$WORK/rerun.log" \
+        || fail "the re-run did not seize the stale lease $STALE"
+fi
 
 [ -f "$WORK/kill/sweep.csv" ] || fail "resumed sweep.csv missing"
 

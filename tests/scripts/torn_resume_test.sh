@@ -1,12 +1,12 @@
 #!/bin/sh
-# Torn-tail tolerance on resume.
+# Torn results under done markers, repaired by a plain re-run.
 #
-# A crash during a manifest or per-config CSV write on a non-atomic
-# filesystem leaves the final record cut mid-write. --resume must
-# truncate-and-continue with a warning — re-running only what the
-# damage invalidated — instead of rejecting the whole sweep with a
-# ParseError, and the merged sweep.csv must still come out
-# byte-identical to an undamaged run.
+# A crash during a write on a non-atomic filesystem (or a stray edit)
+# can leave a per-config CSV cut mid-record under a valid done
+# marker, or the done marker itself cut mid-write. Re-running the
+# same command must repair both from the result store — without
+# simulating anything again and without a typed CSV error — and the
+# merged sweep.csv must come out byte-identical to an undamaged run.
 #
 # Usage: torn_resume_test.sh <texdist_sim> <sweep_runner> <workdir>
 set -u
@@ -38,40 +38,57 @@ tear() { # file bytes_to_cut
     head -c "$keep" "$1" > "$1.torn" && mv "$1.torn" "$1"
 }
 
-run_sweep() { # outdir extra...
-    out=$1
-    shift
-    "$RUNNER" --sim="$SIM" --configs="$CONFIGS" --out="$out" "$@" \
-        -- $COMMON
+run_sweep() { # outdir worker-id
+    "$RUNNER" --sim="$SIM" --configs="$CONFIGS" --out="$1" \
+        --worker-id="$2" -- $COMMON
 }
 
-run_sweep "$WORK/ref" || fail "reference sweep exited nonzero"
+# One numeric field of a worker's fabric stats.
+stat_of() { # stats-file field
+    python3 -c '
+import json, sys
+root = json.load(open(sys.argv[1]))
+print(len(root["configs"]) if sys.argv[2] == "ran" else root[sys.argv[2]])
+' "$1" "$2"
+}
 
-# --- Torn manifest: progress reconstructed from result CSVs. --------
-run_sweep "$WORK/manifest" || fail "setup sweep exited nonzero"
-tear "$WORK/manifest/sweep_manifest.json" 25
-rm -f "$WORK/manifest/sweep.csv"
+run_sweep "$WORK/ref" w0 > /dev/null || fail "reference sweep exited nonzero"
 
-OUT=$(run_sweep "$WORK/manifest" --resume 2>&1) \
-    || fail "resume after torn manifest exited nonzero: $OUT"
-echo "$OUT" | grep -q "damaged" \
-    || fail "no damaged-manifest warning in: $OUT"
-cmp "$WORK/ref/sweep.csv" "$WORK/manifest/sweep.csv" \
-    || fail "sweep.csv differs after torn-manifest resume"
-
-# --- Torn per-config CSV: that config re-runs, others resume. -------
-run_sweep "$WORK/csv" || fail "setup sweep exited nonzero"
-tear "$WORK/csv/block16.csv" 7
+# --- Torn per-config CSV under a done marker: restored. -------------
+run_sweep "$WORK/csv" w0 > /dev/null || fail "setup sweep exited nonzero"
+tear "$WORK/csv/block8.csv" 7
 rm -f "$WORK/csv/sweep.csv"
 
-OUT=$(run_sweep "$WORK/csv" --resume 2>&1) \
-    || fail "resume after torn CSV exited nonzero: $OUT"
-echo "$OUT" | grep -q "torn final record" \
-    || fail "no torn-tail warning in: $OUT"
-echo "$OUT" | grep -q "block8: done (resumed)" \
-    || fail "undamaged config block8 was not resumed: $OUT"
+OUT=$(run_sweep "$WORK/csv" w1 2>&1) \
+    || fail "re-run after a torn CSV exited nonzero: $OUT"
+echo "$OUT" | grep -q "block8.*restored from the store" \
+    || fail "no restore warning for block8 in: $OUT"
+cmp "$WORK/ref/block8.csv" "$WORK/csv/block8.csv" \
+    || fail "block8.csv was not restored byte-identically"
 cmp "$WORK/ref/sweep.csv" "$WORK/csv/sweep.csv" \
-    || fail "sweep.csv differs after torn-CSV resume"
+    || fail "sweep.csv differs after the torn-CSV re-run"
+STATS="$WORK/csv/fabric_stats.w1.json"
+[ "$(stat_of "$STATS" ran)" = "0" ] \
+    || fail "the torn-CSV re-run simulated a config again"
+[ "$(stat_of "$STATS" store_hits)" = "1" ] \
+    || fail "the torn CSV was not served from the store" \
+            "($(stat_of "$STATS" store_hits) hit(s), want 1)"
 
-echo "PASS: torn manifest and torn CSV tails truncate-and-continue"
+# --- Torn done marker: the config re-runs as a store hit. -----------
+run_sweep "$WORK/marker" w0 > /dev/null \
+    || fail "setup sweep exited nonzero"
+tear "$WORK/marker/queue/block16.done" 5
+rm -f "$WORK/marker/sweep.csv"
+
+OUT=$(run_sweep "$WORK/marker" w1 2>&1) \
+    || fail "re-run after a torn done marker exited nonzero: $OUT"
+echo "$OUT" | grep -q "block16: done (store hit)" \
+    || fail "block16 was not served from the store: $OUT"
+cmp "$WORK/ref/sweep.csv" "$WORK/marker/sweep.csv" \
+    || fail "sweep.csv differs after the torn-marker re-run"
+STATS="$WORK/marker/fabric_stats.w1.json"
+[ "$(stat_of "$STATS" ran)" = "0" ] \
+    || fail "the torn-marker re-run simulated a config again"
+
+echo "PASS: a torn CSV is restored and a torn done marker re-runs as a store hit"
 exit 0

@@ -3,7 +3,7 @@
  * Deterministic chaos harness for the distributed sweep fabric.
  *
  * Runs the same small sweep twice — once clean with a single
- * supervised runner, once on a multi-worker fabric while the
+ * worker, once with many workers on one queue while the
  * harness injects seeded failures — and asserts the fabric's merged
  * sweep.csv is byte-identical to the clean run. The injected
  * failure menu covers the faults the fabric claims to survive:
@@ -45,14 +45,17 @@
  */
 
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <cerrno>
@@ -233,9 +236,23 @@ slurp(const std::string &path)
     return ss.str();
 }
 
-/** Base argv of one sweep_runner invocation against @p outDir. */
+/** Run @p argv to completion, logging to @p logPath; fail unless
+ * it exits 0. */
+void
+runOrFail(std::vector<std::string> argv, const std::string &logPath,
+          const std::string &what)
+{
+    int code = await(spawn(std::move(argv), logPath));
+    if (code != 0)
+        failHarness(what + " exited " + std::to_string(code) +
+                    " (see " + logPath + ")");
+}
+
+/** argv of one sweep_runner worker on @p outDir: @p extra, then the
+ * common simulator args. */
 std::vector<std::string>
-runnerArgv(const HarnessOptions &opts, const std::string &outDir)
+runnerArgv(const HarnessOptions &opts, const std::string &outDir,
+           const std::vector<std::string> &extra)
 {
     std::vector<std::string> argv = {
         opts.runnerPath,
@@ -243,15 +260,10 @@ runnerArgv(const HarnessOptions &opts, const std::string &outDir)
         "--configs=" + opts.workDir + "/sweep.cfg",
         "--out=" + outDir,
     };
-    return argv;
-}
-
-void
-appendCommon(std::vector<std::string> &argv)
-{
+    argv.insert(argv.end(), extra.begin(), extra.end());
     argv.push_back("--");
-    for (const std::string &arg : commonArgs)
-        argv.push_back(arg);
+    argv.insert(argv.end(), commonArgs.begin(), commonArgs.end());
+    return argv;
 }
 
 /**
@@ -340,15 +352,6 @@ injectFault(SplitMix64 &rng, const std::string &chaosOut,
     }
 }
 
-JsonValue
-readStats(const std::string &path)
-{
-    std::ifstream probe(path);
-    if (!probe)
-        failHarness("missing fabric stats file " + path);
-    return JsonValue::parseFile(path);
-}
-
 /**
  * One seeded `--io-fault=` plan for a torture-wave worker: one or
  * two segments drawn from the full fault menu, with concrete values
@@ -389,7 +392,7 @@ makeIoFaultSpec(SplitMix64 &rng)
     };
     std::string spec = segment();
     if (rng.below(2) == 0)
-        spec += ";" + segment();
+        spec.append(";").append(segment());
     return spec;
 }
 
@@ -424,30 +427,134 @@ ioFaultLines(const std::string &logPath)
 }
 
 /**
- * Run the six-config sweep once, in-process single-threaded, under
- * @p spec, and return the scrubbed strike log. The probe reuses one
+ * Fresh work directory and the reference result: a clean one-worker
+ * sweep on its own store. Returns its merged sweep.csv.
+ */
+std::string
+goldenSweep(const HarnessOptions &opts)
+{
+    fs::remove_all(opts.workDir);
+    fs::create_directories(opts.workDir);
+    atomicWriteFile(opts.workDir + "/sweep.cfg", sweepConfigText);
+    std::cout << "fabric_chaos: golden single-worker sweep...\n";
+    const std::string golden = opts.workDir + "/golden";
+    runOrFail(runnerArgv(opts, golden, {}), opts.workDir + "/golden.log",
+              "golden sweep");
+    std::string csv = slurp(golden + "/sweep.csv");
+    if (csv.empty())
+        failHarness("golden sweep.csv is empty");
+    return csv;
+}
+
+/**
+ * One wave: opts.workers concurrent workers named `<tag>-<w>` on
+ * @p out and @p store, each adding what one @p extra() call returns
+ * to its arguments.
+ * Exit 0 (finished the sweep) and 3 are normal and @p deathCode is
+ * the schedule's own, counted into @p deaths; any other exit fails
+ * the harness. Returns whether some worker finished the sweep.
+ */
+bool
+runWave(const HarnessOptions &opts, const std::string &out,
+        const std::string &store, const std::string &tag,
+        const std::function<std::vector<std::string>()> &extra,
+        int deathCode, uint64_t &deaths)
+{
+    std::vector<pid_t> pids;
+    for (uint32_t w = 0; w < opts.workers; ++w) {
+        const std::string id = tag + "-" + std::to_string(w);
+        std::vector<std::string> args = {
+            "--store=" + store, "--worker-id=" + id, "--poll-ms=20",
+            "--lease-ttl-polls=15"};
+        for (std::string &arg : extra())
+            args.push_back(std::move(arg));
+        pids.push_back(spawn(runnerArgv(opts, out, args),
+                             opts.workDir + "/" + id + ".log"));
+    }
+    bool finished = false;
+    for (uint32_t w = 0; w < pids.size(); ++w) {
+        const int code = await(pids[w]);
+        if (code == 0)
+            finished = true;
+        else if (code == deathCode)
+            ++deaths;
+        else if (code != 3)
+            failHarness("worker " + tag + "-" + std::to_string(w) +
+                        " exited " + std::to_string(code) +
+                        " (only exit " + std::to_string(deathCode) +
+                        " deaths are part of the schedule)");
+    }
+    return finished;
+}
+
+/**
+ * The identical sweep into a fresh out dir against @p store must
+ * merge byte-identically to @p goldenCsv with every config a store
+ * hit, and the store must then fsck clean. Returns the hit count.
+ */
+uint64_t
+warmRerunAndFsck(const HarnessOptions &opts, const std::string &store,
+                 const std::string &goldenCsv)
+{
+    std::cout << "fabric_chaos: warm-store re-run...\n";
+    const std::string rerun = opts.workDir + "/rerun";
+    runOrFail(runnerArgv(opts, rerun,
+                         {"--store=" + store, "--worker-id=rerun"}),
+              opts.workDir + "/rerun.log", "warm-store re-run");
+    if (slurp(rerun + "/sweep.csv") != goldenCsv)
+        failHarness("warm-store sweep.csv differs from golden");
+    JsonValue stats =
+        JsonValue::parseFile(rerun + "/fabric_stats.rerun.json");
+    const uint64_t hits = stats.at("store_hits").asU64();
+    const uint64_t misses = stats.at("store_misses").asU64();
+    if (misses != 0 || hits != sweepNames.size())
+        failHarness("warm-store re-run was not 100% hits: " +
+                    std::to_string(hits) + " hit(s), " +
+                    std::to_string(misses) + " miss(es)");
+    runOrFail({opts.runnerPath, "--fsck", "--store=" + store},
+              opts.workDir + "/fsck.log",
+              "store fsck (no injected fault may leave damage)");
+    return hits;
+}
+
+/** Write the --bench-out report, if asked: @p fields after the
+ * harness parameters. */
+void
+writeBench(const HarnessOptions &opts, const char *format,
+           const std::vector<std::pair<const char *, double>> &fields)
+{
+    if (opts.benchOut.empty())
+        return;
+    JsonValue root = JsonValue::makeObject();
+    root.set("format", JsonValue::makeString(format));
+    root.set("version", JsonValue::makeNumber(1));
+    root.set("workers", JsonValue::makeNumber(double(opts.workers)));
+    root.set("seed", JsonValue::makeNumber(double(opts.seed)));
+    for (const auto &[key, value] : fields)
+        root.set(key, JsonValue::makeNumber(value));
+    atomicWriteFile(opts.benchOut, root.dump());
+}
+
+/**
+ * Run the six-config sweep once as a single worker under @p spec and
+ * return the scrubbed strike log. The worker id is fixed and its
+ * poll period is far above the probe's run time, so no timing-
+ * dependent heartbeat write enters the log. The probe reuses one
  * directory (wiped between runs) so both runs perform the identical
  * I/O sequence and even the paths in the strikes match.
  */
 std::string
 runProbe(const HarnessOptions &opts, const std::string &spec)
 {
-    std::string dir = opts.workDir + "/probe";
+    const std::string dir = opts.workDir + "/probe";
     fs::remove_all(dir);
     fs::create_directories(dir);
-    std::vector<std::string> argv = {
-        opts.runnerPath,
-        "--configs=" + opts.workDir + "/sweep.cfg",
-        "--out=" + dir + "/out",
-        "--threads=1",
-        "--io-fault=" + spec,
-    };
-    appendCommon(argv);
-    int code = await(spawn(argv, dir + "/probe.log"));
-    if (code != 0)
-        failHarness("determinism probe exited " +
-                    std::to_string(code) + " under --io-fault=" +
-                    spec + " (transient faults must be survivable)");
+    runOrFail(runnerArgv(opts, dir + "/out",
+                         {"--worker-id=probe", "--poll-ms=60000",
+                          "--io-fault=" + spec}),
+              dir + "/probe.log",
+              "determinism probe under --io-fault=" + spec +
+                  " (transient faults must be survivable)");
     return ioFaultLines(dir + "/probe.log");
 }
 
@@ -459,32 +566,15 @@ runProbe(const HarnessOptions &opts, const std::string &spec)
 int
 runTortureHarness(const HarnessOptions &opts)
 {
-    fs::remove_all(opts.workDir);
-    fs::create_directories(opts.workDir);
-    atomicWriteFile(opts.workDir + "/sweep.cfg", sweepConfigText);
+    const std::string goldenCsv = goldenSweep(opts);
+    const std::string store = opts.workDir + "/store";
 
-    std::string golden = opts.workDir + "/golden";
-    std::string store = opts.workDir + "/store";
-
-    // --- Phase 1: clean single-runner sweep (no store). ----------
-    std::cout << "fabric_chaos: golden single-runner sweep...\n";
-    {
-        std::vector<std::string> argv = runnerArgv(opts, golden);
-        appendCommon(argv);
-        int code = await(spawn(argv, opts.workDir + "/golden.log"));
-        if (code != 0)
-            failHarness("golden sweep exited " +
-                        std::to_string(code) + " (see " +
-                        opts.workDir + "/golden.log)");
-    }
-    std::string goldenCsv = slurp(golden + "/sweep.csv");
-
-    // --- Phase 2: same plan, same strikes — twice. ---------------
-    // Transient-only plan (short writes + an EINTR storm): the run
-    // must survive it, and the strike log must replay exactly.
+    // Same plan, same strikes — twice. Transient-only plan (short
+    // writes + an EINTR storm): the run must survive it, and the
+    // strike log must replay exactly.
     std::cout << "fabric_chaos: io-fault determinism probe...\n";
     const std::string probeSpec =
-        "seed:5;short-write:.csv,nth=2,count=4;"
+        "seed:5;short-write:.res,nth=2,count=4;"
         "eintr,every=3,times=25";
     std::string first = runProbe(opts, probeSpec);
     std::string second = runProbe(opts, probeSpec);
@@ -499,15 +589,15 @@ runTortureHarness(const HarnessOptions &opts)
                                    '\n'))
               << " line(s) replayed byte-identically\n";
 
-    // --- Phase 3: seeded torture sweeps on a shared store. -------
+    // Seeded torture sweeps on a shared store.
     fs::create_directories(store);
     uint64_t ioDeaths = 0;
     uint64_t tortured = 0;
     uint32_t wavesUsed = 0;
     for (uint32_t s = 0; s < opts.fsTorture; ++s) {
         SplitMix64 rng(opts.seed + 0x100ab1ef5ull * (s + 1));
-        std::string out =
-            opts.workDir + "/torture" + std::to_string(s);
+        const std::string seed = std::to_string(s);
+        const std::string out = opts.workDir + "/torture" + seed;
         fs::create_directories(out);
         bool converged = false;
         uint32_t wave = 0;
@@ -515,53 +605,24 @@ runTortureHarness(const HarnessOptions &opts)
             // The last two waves run clean so every seed converges
             // within the wave budget no matter how hostile the
             // schedule was.
-            bool clean = wave + 2 >= opts.maxWaves;
-            std::vector<pid_t> pids;
-            for (uint32_t w = 0; w < opts.workers; ++w) {
-                std::vector<std::string> argv =
-                    runnerArgv(opts, out);
-                argv.push_back("--fabric");
-                argv.push_back("--store=" + store);
-                argv.push_back("--worker-id=t" + std::to_string(s) +
-                               "-" + std::to_string(wave) + "-" +
-                               std::to_string(w));
-                argv.push_back("--poll-ms=20");
-                argv.push_back("--lease-ttl-polls=15");
-                if (!clean) {
-                    std::string spec = makeIoFaultSpec(rng);
-                    argv.push_back("--io-fault=" + spec);
+            const bool clean = wave + 2 >= opts.maxWaves;
+            converged = runWave(
+                opts, out, store, "t" + seed + "-" + std::to_string(wave),
+                [&]() -> std::vector<std::string> {
+                    if (clean)
+                        return {};
                     ++tortured;
-                }
-                appendCommon(argv);
-                pids.push_back(spawn(
-                    argv, opts.workDir + "/t" + std::to_string(s) +
-                              "-wave" + std::to_string(wave) + "-w" +
-                              std::to_string(w) + ".log"));
-            }
-            for (pid_t pid : pids) {
-                int code = await(pid);
-                if (code == 0)
-                    converged = true;
-                else if (code == ioErrorExitCode)
-                    ++ioDeaths;
-                else if (code != 3)
-                    failHarness(
-                        "torture worker exited " +
-                        std::to_string(code) + " (seed " +
-                        std::to_string(s) + ", wave " +
-                        std::to_string(wave) +
-                        "; only exit 14 deaths are part of the "
-                        "schedule)");
-            }
+                    return {"--io-fault=" + makeIoFaultSpec(rng)};
+                },
+                ioErrorExitCode, ioDeaths);
         }
         if (!converged)
-            failHarness("torture seed " + std::to_string(s) +
+            failHarness("torture seed " + seed +
                         " did not converge within " +
                         std::to_string(opts.maxWaves) + " waves");
         wavesUsed += wave;
-        std::string csv = slurp(out + "/sweep.csv");
-        if (csv != goldenCsv)
-            failHarness("torture seed " + std::to_string(s) +
+        if (slurp(out + "/sweep.csv") != goldenCsv)
+            failHarness("torture seed " + seed +
                         ": merged sweep.csv differs from the "
                         "golden run");
         std::cout << "  seed " << s << ": converged after " << wave
@@ -572,61 +633,13 @@ runTortureHarness(const HarnessOptions &opts)
               << " injected plan(s), " << ioDeaths
               << " worker death(s) on exit 14\n";
 
-    // --- Phase 4: warm re-run must be 100% hits. -----------------
-    std::cout << "fabric_chaos: warm-store re-run...\n";
-    std::string rerun = opts.workDir + "/rerun";
-    {
-        std::vector<std::string> argv = runnerArgv(opts, rerun);
-        argv.push_back("--store=" + store);
-        argv.push_back("--worker-id=rerun");
-        appendCommon(argv);
-        int code = await(spawn(argv, opts.workDir + "/rerun.log"));
-        if (code != 0)
-            failHarness("warm-store re-run exited " +
-                        std::to_string(code));
-    }
-    if (slurp(rerun + "/sweep.csv") != goldenCsv)
-        failHarness("warm-store sweep.csv differs from golden");
-    JsonValue stats = readStats(rerun + "/fabric_stats.rerun.json");
-    uint64_t hits = stats.at("store_hits").asU64();
-    uint64_t misses = stats.at("store_misses").asU64();
-    if (misses != 0 || hits != sweepNames.size())
-        failHarness("warm-store re-run was not 100% hits: " +
-                    std::to_string(hits) + " hit(s), " +
-                    std::to_string(misses) + " miss(es)");
-
-    // --- Phase 5: the store must fsck clean. ---------------------
-    {
-        std::vector<std::string> argv = {opts.runnerPath, "--fsck",
-                                         "--store=" + store};
-        int code = await(spawn(argv, opts.workDir + "/fsck.log"));
-        if (code != 0)
-            failHarness("post-torture fsck exited " +
-                        std::to_string(code) +
-                        " (no injected failure may corrupt the "
-                        "store)");
-    }
-
-    if (!opts.benchOut.empty()) {
-        JsonValue root = JsonValue::makeObject();
-        root.set("format",
-                 JsonValue::makeString("texdist-fs-torture"));
-        root.set("version", JsonValue::makeNumber(1));
-        root.set("workers",
-                 JsonValue::makeNumber(double(opts.workers)));
-        root.set("seed", JsonValue::makeNumber(double(opts.seed)));
-        root.set("torture_seeds",
-                 JsonValue::makeNumber(double(opts.fsTorture)));
-        root.set("waves", JsonValue::makeNumber(double(wavesUsed)));
-        root.set("injected_plans",
-                 JsonValue::makeNumber(double(tortured)));
-        root.set("io_deaths",
-                 JsonValue::makeNumber(double(ioDeaths)));
-        root.set("rerun_store_hits",
-                 JsonValue::makeNumber(double(hits)));
-        atomicWriteFile(opts.benchOut, root.dump());
-    }
-
+    const uint64_t hits = warmRerunAndFsck(opts, store, goldenCsv);
+    writeBench(opts, "texdist-fs-torture",
+               {{"torture_seeds", double(opts.fsTorture)},
+                {"waves", double(wavesUsed)},
+                {"injected_plans", double(tortured)},
+                {"io_deaths", double(ioDeaths)},
+                {"rerun_store_hits", double(hits)}});
     std::cout << "PASS: " << opts.fsTorture
               << " io-fault seed(s) over a " << opts.workers
               << "-worker fabric; every merged sweep.csv "
@@ -639,34 +652,16 @@ runTortureHarness(const HarnessOptions &opts)
 int
 runHarness(const HarnessOptions &opts)
 {
-    fs::remove_all(opts.workDir);
-    fs::create_directories(opts.workDir);
-    atomicWriteFile(opts.workDir + "/sweep.cfg", sweepConfigText);
+    const std::string goldenCsv = goldenSweep(opts);
+    const std::string chaos = opts.workDir + "/chaos";
+    const std::string store = opts.workDir + "/store";
 
-    std::string golden = opts.workDir + "/golden";
-    std::string chaos = opts.workDir + "/chaos";
-    std::string rerun = opts.workDir + "/rerun";
-    std::string store = opts.workDir + "/store";
-
-    // --- Phase 1: clean single-runner sweep (no store). ----------
-    std::cout << "fabric_chaos: golden single-runner sweep...\n";
-    {
-        std::vector<std::string> argv = runnerArgv(opts, golden);
-        appendCommon(argv);
-        int code = await(spawn(argv, opts.workDir + "/golden.log"));
-        if (code != 0)
-            failHarness("golden sweep exited " +
-                        std::to_string(code) + " (see " +
-                        opts.workDir + "/golden.log)");
-    }
-    std::string goldenCsv = slurp(golden + "/sweep.csv");
-
-    // --- Phase 2: chaos fabric sweep. ----------------------------
     SplitMix64 rng(opts.seed);
     fs::create_directories(chaos);
     fs::create_directories(store);
     uint32_t wave = 0;
     uint64_t kills = 0;
+    uint64_t deaths = 0;
     uint64_t faults = 0;
     bool converged = false;
     for (; wave < opts.maxWaves && !converged; ++wave) {
@@ -680,124 +675,50 @@ runHarness(const HarnessOptions &opts)
                 ++faults;
             }
         }
-
-        std::vector<pid_t> pids;
-        for (uint32_t w = 0; w < opts.workers; ++w) {
-            std::vector<std::string> argv = runnerArgv(opts, chaos);
-            argv.push_back("--fabric");
-            argv.push_back("--store=" + store);
-            argv.push_back("--worker-id=w" + std::to_string(wave) +
-                           "-" + std::to_string(w));
-            argv.push_back("--poll-ms=20");
-            argv.push_back("--lease-ttl-polls=15");
-            // Wave 0 kills every worker at its first claim or
-            // publish — nobody can finish the sweep, guaranteeing
-            // orphaned leases and partial store state for later
-            // waves to recover. Afterwards roughly half the fleet
-            // is doomed at a seeded step, and the last two waves
-            // run clean so the sweep always converges within the
-            // wave budget.
-            bool doomed = wave == 0 ||
-                          (wave + 2 < opts.maxWaves &&
-                           rng.below(2) == 0);
-            if (doomed) {
-                bool atClaim = rng.below(2) == 0;
-                uint64_t after =
-                    wave == 0 ? 1
-                              : 1 + rng.below(atClaim ? 3 : 2);
-                argv.push_back(
-                    std::string("--chaos-kill=") +
-                    (atClaim ? "claim" : "publish") + ":" +
-                    std::to_string(after));
+        // Wave 0 kills every worker at its first claim or publish —
+        // nobody can finish the sweep, guaranteeing orphaned leases
+        // and partial store state for later waves to recover.
+        // Afterwards roughly half the fleet is doomed at a seeded
+        // step, and the last two waves run clean so the sweep always
+        // converges within the wave budget.
+        converged = runWave(
+            opts, chaos, store,
+            std::string("w").append(std::to_string(wave)),
+            [&]() -> std::vector<std::string> {
+                const bool doomed = wave == 0 ||
+                                    (wave + 2 < opts.maxWaves &&
+                                     rng.below(2) == 0);
+                if (!doomed)
+                    return {};
+                const bool atClaim = rng.below(2) == 0;
+                const uint64_t after =
+                    wave == 0 ? 1 : 1 + rng.below(atClaim ? 3 : 2);
                 ++kills;
-            }
-            appendCommon(argv);
-            pids.push_back(spawn(argv, opts.workDir + "/wave" +
-                                           std::to_string(wave) +
-                                           "-w" +
-                                           std::to_string(w) +
-                                           ".log"));
-        }
-        for (pid_t pid : pids) {
-            int code = await(pid);
-            if (code == 0)
-                converged = true;
-            else if (code != 137 && code != 3)
-                failHarness("chaos worker exited " +
-                            std::to_string(code) +
-                            " (wave " + std::to_string(wave) +
-                            "; only SIGKILL deaths are part of "
-                            "the schedule)");
-        }
+                return {std::string("--chaos-kill=")
+                            .append(atClaim ? "claim" : "publish")
+                            .append(":")
+                            .append(std::to_string(after))};
+            },
+            128 + SIGKILL, deaths);
     }
     if (!converged)
         failHarness("fabric sweep did not converge within " +
                     std::to_string(opts.maxWaves) + " waves");
     std::cout << "fabric_chaos: converged after " << wave
               << " wave(s), " << kills << " scheduled kill(s), "
-              << faults << " injected fault(s)\n";
-
-    std::string chaosCsv = slurp(chaos + "/sweep.csv");
-    if (chaosCsv != goldenCsv)
+              << deaths << " SIGKILL death(s), " << faults
+              << " injected fault(s)\n";
+    if (slurp(chaos + "/sweep.csv") != goldenCsv)
         failHarness("chaos sweep.csv differs from the golden "
-                    "single-runner run");
-    if (chaosCsv.empty())
-        failHarness("merged sweep.csv is empty");
+                    "single-worker run");
 
-    // --- Phase 3: identical sweep, fresh out dir, warm store. ----
-    std::cout << "fabric_chaos: warm-store re-run...\n";
-    {
-        std::vector<std::string> argv = runnerArgv(opts, rerun);
-        argv.push_back("--store=" + store);
-        argv.push_back("--worker-id=rerun");
-        appendCommon(argv);
-        int code = await(spawn(argv, opts.workDir + "/rerun.log"));
-        if (code != 0)
-            failHarness("warm-store re-run exited " +
-                        std::to_string(code));
-    }
-    if (slurp(rerun + "/sweep.csv") != goldenCsv)
-        failHarness("warm-store sweep.csv differs from golden");
-    JsonValue stats =
-        readStats(rerun + "/fabric_stats.rerun.json");
-    uint64_t hits = stats.at("store_hits").asU64();
-    uint64_t misses = stats.at("store_misses").asU64();
-    if (misses != 0 || hits != sweepNames.size())
-        failHarness("warm-store re-run was not 100% hits: " +
-                    std::to_string(hits) + " hit(s), " +
-                    std::to_string(misses) + " miss(es)");
-
-    // --- Phase 4: the store must fsck clean. ---------------------
-    {
-        std::vector<std::string> argv = {opts.runnerPath, "--fsck",
-                                         "--store=" + store};
-        int code = await(spawn(argv, opts.workDir + "/fsck.log"));
-        if (code != 0)
-            failHarness("post-chaos fsck exited " +
-                        std::to_string(code) +
-                        " (store should have self-healed)");
-    }
-
-    if (!opts.benchOut.empty()) {
-        JsonValue root = JsonValue::makeObject();
-        root.set("format",
-                 JsonValue::makeString("texdist-fabric-chaos"));
-        root.set("version", JsonValue::makeNumber(1));
-        root.set("workers",
-                 JsonValue::makeNumber(double(opts.workers)));
-        root.set("seed", JsonValue::makeNumber(double(opts.seed)));
-        root.set("waves", JsonValue::makeNumber(double(wave)));
-        root.set("scheduled_kills",
-                 JsonValue::makeNumber(double(kills)));
-        root.set("injected_faults",
-                 JsonValue::makeNumber(double(faults)));
-        root.set("rerun_store_hits",
-                 JsonValue::makeNumber(double(hits)));
-        root.set("rerun_store_misses",
-                 JsonValue::makeNumber(double(misses)));
-        atomicWriteFile(opts.benchOut, root.dump());
-    }
-
+    const uint64_t hits = warmRerunAndFsck(opts, store, goldenCsv);
+    writeBench(opts, "texdist-fabric-chaos",
+               {{"waves", double(wave)},
+                {"scheduled_kills", double(kills)},
+                {"injected_faults", double(faults)},
+                {"rerun_store_hits", double(hits)},
+                {"rerun_store_misses", 0.0}});
     std::cout << "PASS: " << opts.workers
               << "-worker chaos sweep is byte-identical to the "
               << "clean run; warm-store re-run hit " << hits << "/"

@@ -2,10 +2,9 @@
  * @file
  * Supervised sweep runner: runs a list of simulator configurations
  * as isolated child processes, with per-config timeouts, bounded
- * retry with backoff, a crash-safe JSON manifest of partial results,
- * and `--resume` to skip configurations that already completed — so
- * an overnight sweep that dies at config 71 of 96 costs 25 configs,
- * not 96.
+ * retry with backoff and a content-addressed result store, so an
+ * overnight sweep that dies at config 71 of 96 costs 25 configs on
+ * its re-run, not 96.
  *
  * The sweep is described by a plain-text config file, one
  * configuration per line:
@@ -20,51 +19,47 @@
  * `<out>/<name>.log`. When every config has completed, the
  * per-config CSVs are merged (in config-file order, with a leading
  * `config` column) into `<out>/sweep.csv` via an atomic rename, so
- * an interrupted sweep resumed later produces a byte-identical
+ * an interrupted sweep re-run later produces a byte-identical
  * merged file.
  *
  * Usage:
  *   sweep_runner --sim=build/tools/texdist_sim --configs=sweep.txt \
  *                --out=results [--timeout=300] [--retries=2] \
- *                [--resume] [--threads=<n>] [--store=<dir>] \
- *                [--fabric] [--worker-id=<id>] \
+ *                [--store=<dir>] [--worker-id=<id>] \
  *                [-- <common simulator args...>]
  *
- * `--threads=<n>` switches to in-process mode: configurations are
- * simulated on a host worker pool inside this process (no fork/exec,
- * no --sim binary needed), n at a time. Output files — per-config
- * CSVs, the manifest, and the merged sweep.csv — are byte-identical
- * to subprocess mode, so the two modes are interchangeable and
- * `--resume` works across them. The trade-off is isolation:
- * in-process configs share one address space, so there is no
- * per-config timeout or crash retry, and flags that assume a
- * dedicated process (checkpointing, manifests, replay verification,
- * stats files) are rejected up front.
- *
- * `--store=<dir>` memoizes results in a content-addressed store
- * (src/fabric): a config whose key — FNV digest of (canonical
- * config JSON, trace digest, code version) — already has a
- * CRC-valid entry is served from the store instead of re-simulated.
- *
- * `--fabric` turns this process into one worker of a multi-worker
- * sweep: any number of `sweep_runner --fabric` processes sharing
- * the same --out, --configs and --store cooperate through a
- * filesystem lease queue (`<out>/queue/`). Workers claim configs
- * via O_EXCL claim files, heartbeat while running, seize leases
- * whose holders stopped heartbeating (crash, SIGKILL, wedge), and
+ * Every process is one worker of a shared-queue sweep. Any number of
+ * workers sharing the same --out, --configs and --store cooperate
+ * through a filesystem lease queue (`<out>/queue/`), so a parallel
+ * sweep is N copies of one command line. Workers claim configs via
+ * O_EXCL claim files, heartbeat while running, seize leases whose
+ * holders stopped heartbeating (crash, SIGKILL, wedge), and
  * speculatively duplicate stragglers — all safe because results are
  * digest-keyed and byte-identical, so any publish race has one
- * whole-file winner with the same content. Fabric state lives
- * entirely in the queue markers and the store: a worker fleet can
- * be killed and restarted at any point and the sweep converges.
+ * whole-file winner with the same content.
+ *
+ * `--store=<dir>` (default `<out>/store`) memoizes results in a
+ * content-addressed store (src/fabric): a config whose key — FNV
+ * digest of (canonical config JSON, trace digest, code version) —
+ * already has a CRC-valid entry is served from the store instead of
+ * re-simulated.
+ *
+ * Sweep state lives entirely in the queue markers and the store, so
+ * there is no resume step: re-running the same command line after a
+ * crash or an interrupt skips every config with a `.done` marker or
+ * a store hit. A `.failed` marker is terminal for its --out; to retry
+ * that config, delete `<out>/queue/<name>.failed`, or re-run into a
+ * fresh --out against the same --store. Each worker records the
+ * configs it ran (status, attempts, signal deaths, exit code) in
+ * `<out>/fabric_stats.<worker>.json`.
  *
  * Exit codes: 0 every config done, 1 usage/config error, 2 some
- * configs failed permanently, 3 interrupted (the manifest still
- * records everything that finished), 8 malformed sweep manifest,
- * 9 malformed result CSV, 10 lease lost (--fabric-lease-strict),
- * 11 corrupt store entry (--fabric-store-strict), 12 fsck
- * quarantined entries (--fsck), 14 supervisor-side I/O failure
- * (environmental — relaunch; never retained a partial artifact).
+ * configs failed permanently, 3 interrupted (a re-run continues
+ * from the queue markers), 9 malformed result CSV, 10 lease lost
+ * (--fabric-lease-strict), 11 corrupt store entry
+ * (--fabric-store-strict), 12 fsck quarantined entries (--fsck),
+ * 14 supervisor-side I/O failure (environmental — relaunch; never
+ * retained a partial artifact).
  */
 
 #include <algorithm>
@@ -77,7 +72,6 @@
 #include <iostream>
 #include <limits>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -94,20 +88,14 @@
 #include <unistd.h>
 
 #include "core/error.hh"
-#include "core/interframe.hh"
 #include "core/json.hh"
 #include "core/options.hh"
 #include "core/replay.hh"
-#include "core/sequence.hh"
 #include "io/vfs.hh"
-#include "oracle/oracle.hh"
 #include "fabric/lease.hh"
 #include "fabric/store.hh"
-#include "scene/benchmarks.hh"
 #include "sim/checkpoint.hh"
 #include "sim/logging.hh"
-#include "sim/thread_pool.hh"
-#include "trace/trace.hh"
 
 using namespace texdist;
 
@@ -138,7 +126,8 @@ struct SweepConfig
     std::string name;
     std::string args;
 
-    // Supervision state, persisted in the manifest.
+    // Supervision state; the configs this worker ran are reported in
+    // its fabric_stats.<worker>.json.
     std::string status = "pending"; ///< pending|done|failed
     int attempts = 0;
     int signalDeaths = 0;
@@ -154,12 +143,9 @@ struct RunnerOptions
     int retries = 2;
     int signalRetries = 3;
     long backoffMs = 500;
-    bool resume = false;
-    uint32_t threads = 0; ///< 0 = subprocess mode
 
-    // Fabric / store options.
-    std::string storeDir;
-    bool fabricMode = false;
+    // Store and lease-queue options.
+    std::string storeDir; ///< default <out>/store
     std::string workerId;
     long pollMs = 50;
     uint64_t leaseTtlPolls = 100;   ///< stale after this many polls
@@ -174,8 +160,8 @@ struct RunnerOptions
     uint64_t chaosKillAfter = 0;
 
     // Deterministic filesystem fault plan installed in THIS process:
-    // the supervisor's own persistence (manifest, store, queue,
-    // merge) runs against the hostile filesystem. Child simulators
+    // the supervisor's own persistence (store, queue, merge, stats)
+    // runs against the hostile filesystem. Child simulators
     // get their own plans via `-- --io-fault=...` common args.
     io::IoFaultPlan ioFault;
 
@@ -196,7 +182,9 @@ std::string
 usage()
 {
     return
-        "sweep_runner - supervised, resumable simulator sweep\n"
+        "sweep_runner - supervised simulator sweep; every process is\n"
+        "one worker of a shared-queue sweep, and re-running the same\n"
+        "command resumes it\n"
         "\n"
         "  --sim=<path>       texdist_sim binary to run\n"
         "  --configs=<file>   sweep file: one 'name: args' per "
@@ -215,24 +203,19 @@ usage()
         "  --backoff-ms=<n>   base retry backoff, doubled per "
         "attempt\n"
         "                     (default 500)\n"
-        "  --resume           skip configs the manifest records as "
-        "done\n"
-        "  --threads=<n>      simulate n configs at a time inside "
-        "this\n"
-        "                     process (no fork/exec; --sim unused;\n"
-        "                     clamped to the hardware width)\n"
         "  --store=<dir>      content-addressed result store: serve"
         "\n"
         "                     repeat configs from cache, publish new"
         "\n"
-        "                     results\n"
+        "                     results (default <out>/store)\n"
         "  --fsck             validate every store entry, "
         "quarantine\n"
         "                     damage, exit 12 if anything moved\n"
-        "  --fabric           run as one worker of a shared-queue\n"
-        "                     multi-process sweep (needs --store)\n"
-        "  --worker-id=<id>   fabric worker name (default w<pid>)\n"
-        "  --poll-ms=<n>      fabric idle poll period and lease\n"
+        "  --fabric           no effect: every run is a shared-queue\n"
+        "                     worker (accepted for old command lines)\n"
+        "  --worker-id=<id>   worker name, unique among the workers\n"
+        "                     sharing --out (default w<pid>)\n"
+        "  --poll-ms=<n>      idle poll period and lease\n"
         "                     heartbeat period while a child runs\n"
         "                     (default 50); child exit is noticed\n"
         "                     at once, not on this period\n"
@@ -251,7 +234,7 @@ usage()
         "  --io-fault=<spec>  (testing) inject filesystem faults "
         "into\n"
         "                     this supervisor's own persistence\n"
-        "                     (manifest, store, queue, merge); same\n"
+        "                     (store, queue, merge, stats); same\n"
         "                     grammar as texdist_sim --io-fault\n"
         "  -- <args...>       common arguments passed to every "
         "config\n";
@@ -305,8 +288,6 @@ parseArgs(int argc, char **argv)
                                  "too large (max 2^30 ms)")
                     .field("--backoff-ms");
             opts.backoffMs = long(ms);
-        } else if (match(arg, "threads", v)) {
-            opts.threads = parseHostThreads(v, "threads");
         } else if (match(arg, "store", v)) {
             opts.storeDir = v;
         } else if (match(arg, "worker-id", v)) {
@@ -354,10 +335,8 @@ parseArgs(int argc, char **argv)
                     .field("--chaos-kill");
         } else if (match(arg, "io-fault", v)) {
             opts.ioFault.add(v);
-        } else if (arg == "--resume") {
-            opts.resume = true;
         } else if (arg == "--fabric") {
-            opts.fabricMode = true;
+            // Accepted and ignored: every run is a fabric worker.
         } else if (arg == "--fsck") {
             opts.fsckMode = true;
         } else if (arg == "--fabric-lease-strict") {
@@ -379,25 +358,12 @@ parseArgs(int argc, char **argv)
                              "--fsck requires --store");
         return opts;
     }
-    if ((opts.simPath.empty() && opts.threads == 0) ||
-        opts.configsPath.empty() || opts.outDir.empty())
+    if (opts.simPath.empty() || opts.configsPath.empty() ||
+        opts.outDir.empty())
         throw ParseError(ParseSurface::Cli, ParseRule::Syntax,
-                         "--sim (or --threads), --configs and "
-                         "--out are required");
-    if (opts.fabricMode) {
-        if (opts.storeDir.empty())
-            throw ParseError(ParseSurface::Cli, ParseRule::Syntax,
-                             "--fabric requires --store (results "
-                             "must be content-addressed for "
-                             "duplicate runs to be safe)");
-        if (opts.threads != 0)
-            throw ParseError(ParseSurface::Cli, ParseRule::Syntax,
-                             "--fabric is a multi-process mode; "
-                             "drop --threads");
-        if (opts.simPath.empty())
-            throw ParseError(ParseSurface::Cli, ParseRule::Syntax,
-                             "--fabric requires --sim");
-    }
+                         "--sim, --configs and --out are required");
+    if (opts.storeDir.empty())
+        opts.storeDir = opts.outDir + "/store";
     if (opts.workerId.empty())
         opts.workerId = "w" + std::to_string(getpid());
     return opts;
@@ -461,135 +427,6 @@ splitArgs(const std::string &args)
     while (is >> tok)
         out.push_back(tok);
     return out;
-}
-
-std::string
-manifestPath(const RunnerOptions &opts)
-{
-    return opts.outDir + "/sweep_manifest.json";
-}
-
-void
-saveManifest(const RunnerOptions &opts,
-             const std::vector<SweepConfig> &configs)
-{
-    JsonValue root = JsonValue::makeObject();
-    root.set("format",
-             JsonValue::makeString("texdist-sweep-manifest"));
-    root.set("version", JsonValue::makeNumber(1));
-    root.set("sim", JsonValue::makeString(opts.simPath));
-    std::string common;
-    for (const std::string &arg : opts.commonArgs)
-        common += (common.empty() ? "" : " ") + arg;
-    root.set("common_args", JsonValue::makeString(common));
-    JsonValue list = JsonValue::makeArray();
-    for (const SweepConfig &cfg : configs) {
-        JsonValue entry = JsonValue::makeObject();
-        entry.set("name", JsonValue::makeString(cfg.name));
-        entry.set("args", JsonValue::makeString(cfg.args));
-        entry.set("status", JsonValue::makeString(cfg.status));
-        entry.set("attempts", JsonValue::makeNumber(cfg.attempts));
-        entry.set("signal_deaths",
-                  JsonValue::makeNumber(cfg.signalDeaths));
-        entry.set("exit_code", JsonValue::makeNumber(cfg.exitCode));
-        list.append(std::move(entry));
-    }
-    root.set("configs", std::move(list));
-    atomicWriteFile(manifestPath(opts), root.dump());
-}
-
-/**
- * Does this per-config CSV vouch for a completed run? Used on
- * resume. A torn tail (final record cut mid-write) is reported with
- * a warning and the config re-runs; any other damage re-runs too.
- */
-bool
-configCsvUsable(const RunnerOptions &opts, const std::string &name)
-{
-    std::string csvPath = opts.outDir + "/" + name + ".csv";
-    if (!io::fileExists(csvPath))
-        return false;
-    auto parsed =
-        tryParse([&] { return parseFrameCsvFileTolerant(csvPath); });
-    if (!parsed.ok()) {
-        inform("--resume: re-running '", name,
-               "': ", parsed.error().describe());
-        return false;
-    }
-    if (parsed.value().tornTail) {
-        warn("--resume: ", csvPath, " has a torn final record (",
-             parsed.value().tail.size(),
-             " bytes cut mid-write); truncating and re-running '",
-             name, "'");
-        return false;
-    }
-    return !parsed.value().rows.empty();
-}
-
-/**
- * Merge prior progress into the freshly loaded sweep: a config
- * counts as done only if the manifest says so, its args have not
- * changed, and its result CSV is still on disk and parses cleanly.
- *
- * A damaged manifest — including one whose tail was torn by a
- * crash-during-write on a non-atomic filesystem — does not reject
- * the resume: progress is reconstructed from the per-config CSVs
- * with a warning, and the configs whose CSVs vouch for them are
- * kept.
- */
-void
-mergePriorProgress(const RunnerOptions &opts,
-                   std::vector<SweepConfig> &configs)
-{
-    if (!io::fileExists(manifestPath(opts))) {
-        inform("--resume: no manifest at ", manifestPath(opts),
-               ", starting fresh");
-        return;
-    }
-    auto loaded = tryParse([&] {
-        JsonValue root = JsonValue::parseFile(manifestPath(opts));
-        const std::string &format = root.at("format").asString();
-        if (format != "texdist-sweep-manifest")
-            throw ParseError(ParseSurface::Json, ParseRule::Magic,
-                             "not a sweep manifest (format '" +
-                                 format + "')")
-                .in(manifestPath(opts))
-                .field("format");
-        return root;
-    });
-    if (!loaded.ok()) {
-        warn("--resume: sweep manifest ", manifestPath(opts),
-             " is damaged (", loaded.error().describe(),
-             "); reconstructing progress from result CSVs");
-        for (SweepConfig &cfg : configs) {
-            if (!configCsvUsable(opts, cfg.name))
-                continue;
-            warn("--resume: '", cfg.name,
-                 "' kept on the strength of its result CSV (args "
-                 "unverifiable without a manifest)");
-            cfg.status = "done";
-            cfg.exitCode = 0;
-        }
-        return;
-    }
-    const JsonValue &root = loaded.value();
-    for (const JsonValue &entry : root.at("configs").items()) {
-        const std::string &name = entry.at("name").asString();
-        const std::string &status = entry.at("status").asString();
-        for (SweepConfig &cfg : configs) {
-            if (cfg.name != name ||
-                cfg.args != entry.at("args").asString())
-                continue;
-            if (status == "done" && configCsvUsable(opts, cfg.name)) {
-                cfg.status = "done";
-                cfg.attempts = int(entry.at("attempts").asNumber());
-                if (const JsonValue *sd = entry.get("signal_deaths"))
-                    cfg.signalDeaths = int(sd->asNumber());
-                cfg.exitCode = int(entry.at("exit_code").asNumber());
-            }
-            break;
-        }
-    }
 }
 
 /** Exit status of one child attempt. */
@@ -664,11 +501,12 @@ sleepMs(long ms)
 
 /**
  * Run one attempt of @p cfg as a child process and wait for it to
- * exit, calling @p heartbeat every --poll-ms while it runs.
+ * exit, calling @p heartbeat (when set) every --poll-ms while it
+ * runs.
  */
 Attempt
 runChild(const RunnerOptions &opts, const SweepConfig &cfg,
-         const std::function<void()> &heartbeat = nullptr)
+         const std::function<void()> &heartbeat)
 {
     std::vector<std::string> args;
     args.push_back(opts.simPath);
@@ -792,7 +630,7 @@ runChild(const RunnerOptions &opts, const SweepConfig &cfg,
 void
 superviseConfig(const RunnerOptions &opts, SweepConfig &cfg,
                 bool &interrupted,
-                const std::function<void()> &heartbeat = nullptr)
+                const std::function<void()> &heartbeat)
 {
     int failRetries = 0;
     int sigRetries = 0;
@@ -859,123 +697,6 @@ superviseConfig(const RunnerOptions &opts, SweepConfig &cfg,
 }
 
 /**
- * In-process mode: parse a pending config's full command line. All
- * configs are parsed up front on the main thread, so a sweep never
- * dies halfway through on a typo that subprocess mode would also
- * have rejected — and never calls exit() from a worker thread.
- */
-SimOptions
-parseInProcessConfig(const RunnerOptions &opts,
-                     const SweepConfig &cfg)
-{
-    std::vector<std::string> args = opts.commonArgs;
-    for (const std::string &arg : splitArgs(cfg.args))
-        args.push_back(arg);
-    SimOptions sim = SimOptions::parse(args);
-    if (sim.help || sim.listBenchmarks)
-        texdist_fatal("config '", cfg.name, "': --help and "
-                      "--list-benchmarks make no sense in a sweep");
-    if (sim.checkpointEvery > 0 || !sim.checkpointFile.empty() ||
-        !sim.restorePath.empty() || !sim.manifestPath.empty() ||
-        !sim.replayVerifyPath.empty() || !sim.statsFile.empty())
-        texdist_fatal("config '", cfg.name, "': checkpoint, "
-                      "restore, manifest, replay-verify and "
-                      "stats-file need a dedicated process per "
-                      "config; drop --threads to run this sweep");
-    const bool sequence = sim.frames > 1 || sim.panDx != 0.0 ||
-                          sim.panDy != 0.0;
-    if (sequence)
-        for (const FaultSpec &fault : sim.machine.faults.faults)
-            if (fault.kind != FaultKind::SlowNode &&
-                fault.kind != FaultKind::BusStall)
-                texdist_fatal("config '", cfg.name, "': fault kind ",
-                              to_string(fault.kind), " is not "
-                              "supported in multi-frame runs");
-    return sim;
-}
-
-/**
- * Simulate one config inside this process, producing the same
- * per-config CSV and log files as an exec'd texdist_sim would.
- * Returns the exit code the equivalent child process would have.
- */
-int
-runConfigInProcess(const RunnerOptions &opts, const SweepConfig &cfg,
-                   const SimOptions &sim)
-{
-    std::ofstream log(opts.outDir + "/" + cfg.name + ".log");
-    Scene base = sim.tracePath.empty()
-                     ? makeBenchmark(sim.scene, sim.scale)
-                     : readTraceFile(sim.tracePath);
-    CsvWriter csv(opts.outDir + "/" + cfg.name + ".csv");
-    frameCsvHeader(csv);
-
-    // Mirror the driver's dispatch: multi-frame runs use the
-    // persistent sequence machine, single-frame runs the event-driven
-    // machine (which also covers the kill/freeze fault kinds).
-    const bool sequence = sim.frames > 1 || sim.panDx != 0.0 ||
-                          sim.panDy != 0.0;
-    int exit_code = exitOk;
-    bool interrupted = false;
-    try {
-        if (sequence) {
-            // The sweep's parallelism is config-level; each machine
-            // runs its frames serially unless the config asked for
-            // --jobs.
-            SequenceMachine machine(base, sim.machine,
-                                    sim.jobs > 0 ? sim.jobs : 1);
-            OracleEngine oracle(sim.machine, sim.oracle);
-            oracle.attach(machine);
-            for (uint32_t f = 0; f < sim.frames; ++f) {
-                Scene frame =
-                    f == 0 ? Scene()
-                           : translateScene(base,
-                                            float(sim.panDx * f),
-                                            float(sim.panDy * f));
-                const Scene &scene = f == 0 ? base : frame;
-                oracle.beginFrame(f, scene);
-                FrameResult r = machine.runFrame(scene);
-                oracle.endFrame(f, scene, &machine.distribution(),
-                                &r, machine.currentTime());
-                uint64_t digest = digestFrame(r);
-                frameCsvRow(csv, f, r, digest);
-                log << "frame " << f << ": " << r.frameTime
-                    << " cycles, " << r.totalPixels
-                    << " pixels, digest " << digestHex(digest)
-                    << "\n";
-                if (g_signal != 0) {
-                    interrupted = true;
-                    break;
-                }
-            }
-        } else {
-            ParallelMachine machine(base, sim.machine);
-            OracleEngine oracle(sim.machine, sim.oracle);
-            oracle.attach(machine);
-            oracle.beginFrame(0, base);
-            FrameResult r = machine.run();
-            oracle.endFrame(0, base, &machine.distribution(), &r,
-                            r.frameTime);
-            uint64_t digest = digestFrame(r);
-            frameCsvRow(csv, 0, r, digest);
-            log << "frame 0: " << r.frameTime << " cycles, "
-                << r.totalPixels << " pixels, digest "
-                << digestHex(digest) << "\n";
-            if (r.failed) {
-                log << "frame failed: " << r.failureReason << "\n";
-                exit_code = 2; // texdist_sim's exitFrameFailed
-            }
-        }
-    } catch (const OracleError &e) {
-        // Same exit code a child texdist_sim process would report.
-        log << "fatal: " << e.describe() << "\n";
-        exit_code = e.exitCode();
-    }
-    csv.close();
-    return interrupted ? exitInterrupted : exit_code;
-}
-
-/**
  * The store identity of one config: the full child argv (minus the
  * per-run --result-csv path, which is placement, not physics) plus
  * the digest of any trace input.
@@ -1035,11 +756,18 @@ chaosMaybeKill(const RunnerOptions &opts, const char *phase)
     }
 }
 
+/**
+ * Write `<out>/fabric_stats.<worker>.json`: the store and lease
+ * counters of this worker, and the per-config accounting (status,
+ * attempts, signal deaths, exit code) of every config it ran a child
+ * for. Store hits and configs finished by peers are not listed.
+ */
 void
 writeFabricStats(const RunnerOptions &opts,
                  const fabric::ResultStore &store,
-                 const fabric::LeaseQueue *queue,
-                 uint64_t speculativeRuns)
+                 const fabric::LeaseQueue &queue,
+                 uint64_t speculativeRuns,
+                 const std::vector<SweepConfig> &configs)
 {
     JsonValue root = JsonValue::makeObject();
     root.set("format",
@@ -1053,114 +781,29 @@ writeFabricStats(const RunnerOptions &opts,
     root.set("store_corrupt",
              JsonValue::makeNumber(double(store.stats().corrupt)));
     root.set("leases_stolen",
-             JsonValue::makeNumber(
-                 double(queue ? queue->stolen() : 0)));
+             JsonValue::makeNumber(double(queue.stolen())));
     root.set("speculative_runs",
              JsonValue::makeNumber(double(speculativeRuns)));
+    JsonValue ran = JsonValue::makeArray();
+    for (const SweepConfig &cfg : configs) {
+        if (cfg.attempts == 0)
+            continue;
+        JsonValue entry = JsonValue::makeObject();
+        entry.set("name", JsonValue::makeString(cfg.name));
+        entry.set("status", JsonValue::makeString(cfg.status));
+        entry.set("attempts", JsonValue::makeNumber(cfg.attempts));
+        entry.set("signal_deaths",
+                  JsonValue::makeNumber(cfg.signalDeaths));
+        entry.set("exit_code", JsonValue::makeNumber(cfg.exitCode));
+        ran.append(std::move(entry));
+    }
+    root.set("configs", std::move(ran));
     atomicWriteFile(opts.outDir + "/fabric_stats." + opts.workerId +
                         ".json",
                     root.dump());
     std::cout << "store: " << store.stats().hits << " hit(s), "
               << store.stats().misses << " miss(es), "
               << store.stats().corrupt << " quarantined\n";
-}
-
-void mergeResults(const RunnerOptions &opts,
-                  const std::vector<SweepConfig> &configs);
-
-/** The whole sweep in-process, opts.threads configs at a time. */
-int
-runSweepInProcess(const RunnerOptions &opts,
-                  std::vector<SweepConfig> &configs)
-{
-    // Optional memoization: serve store hits before parsing, so a
-    // fully cached sweep never builds a scene at all.
-    std::unique_ptr<fabric::ResultStore> store;
-    std::vector<fabric::StoreKey> keys(configs.size());
-    std::vector<std::string> metas(configs.size());
-    if (!opts.storeDir.empty()) {
-        store = std::make_unique<fabric::ResultStore>(
-            opts.storeDir, opts.storeStrict);
-        for (size_t i = 0; i < configs.size(); ++i) {
-            if (configs[i].status == "done")
-                continue;
-            keys[i] = configStoreKey(opts, configs[i], &metas[i]);
-            if (auto payload = store->fetch(keys[i])) {
-                atomicWriteFile(opts.outDir + "/" +
-                                    configs[i].name + ".csv",
-                                *payload);
-                configs[i].status = "done";
-                configs[i].exitCode = 0;
-                std::cout << "  " << configs[i].name
-                          << ": done (store hit)\n";
-            }
-        }
-    }
-
-    std::vector<size_t> pending;
-    std::vector<SimOptions> parsed(configs.size());
-    for (size_t i = 0; i < configs.size(); ++i) {
-        if (configs[i].status == "done") {
-            std::cout << "  " << configs[i].name
-                      << ": done (resumed)\n";
-            continue;
-        }
-        parsed[i] = parseInProcessConfig(opts, configs[i]);
-        pending.push_back(i);
-    }
-
-    ThreadPool pool(opts.threads);
-    std::vector<int> codes(configs.size(), exitOk);
-    // texlint: phase(isolated) each task simulates one sweep config in
-    // a private universe; results land in per-config slots
-    pool.parallelFor(pending.size(), [&](uint32_t, size_t p) {
-        size_t i = pending[p];
-        ++configs[i].attempts;
-        codes[i] = runConfigInProcess(opts, configs[i], parsed[i]);
-    });
-
-    bool interrupted = g_signal != 0;
-    for (size_t i : pending) {
-        SweepConfig &cfg = configs[i];
-        cfg.exitCode = codes[i];
-        if (codes[i] == exitOk) {
-            cfg.status = "done";
-            if (store)
-                publishResult(opts, *store, cfg, keys[i], metas[i]);
-            std::cout << "  " << cfg.name << ": done\n";
-        } else if (codes[i] == exitInterrupted) {
-            interrupted = true; // stays pending for --resume
-        } else {
-            cfg.status = "failed";
-            std::cout << "  " << cfg.name << ": failed (exit "
-                      << codes[i] << ", see " << opts.outDir << "/"
-                      << cfg.name << ".log)\n";
-        }
-    }
-    saveManifest(opts, configs);
-    if (store)
-        writeFabricStats(opts, *store, nullptr, 0);
-
-    if (interrupted) {
-        std::cerr << "sweep interrupted; progress saved to "
-                  << manifestPath(opts) << " (resume with "
-                  << "--resume)\n";
-        return exitInterrupted;
-    }
-    size_t failed = 0;
-    for (const SweepConfig &cfg : configs)
-        if (cfg.status != "done")
-            ++failed;
-    if (failed > 0) {
-        std::cerr << failed << " config(s) failed permanently; see "
-                  << manifestPath(opts) << "\n";
-        return exitSomeFailed;
-    }
-    mergeResults(opts, configs);
-    std::cout << "sweep complete: " << configs.size()
-              << " config(s); merged results in " << opts.outDir
-              << "/sweep.csv\n";
-    return exitOk;
 }
 
 /**
@@ -1204,19 +847,62 @@ mergeResults(const RunnerOptions &opts,
 }
 
 /**
- * One fabric worker: cooperate with any number of peer processes
- * through the shared lease queue and result store until every
- * config has a terminal marker, then merge. See the file comment
- * for the protocol; the invariant that makes every race benign is
- * that a config's result bytes are a pure function of its store
- * key, so duplicate publications collide into identical entries.
+ * Releases every lease a worker still holds when the sweep loop ends,
+ * by return or by exception: a graceful stop (interrupt, typed error,
+ * I/O failure) frees the worker's claims at once, so a re-run need not
+ * wait out the stale-lease TTL. Only a SIGKILL leaves a lease for the
+ * TTL to expire.
+ */
+class LeaseRelease
+{
+  public:
+    explicit LeaseRelease(fabric::LeaseQueue &queue) : _queue(queue) {}
+    ~LeaseRelease() { _queue.releaseAll(); }
+    LeaseRelease(const LeaseRelease &) = delete;
+    LeaseRelease &operator=(const LeaseRelease &) = delete;
+
+  private:
+    fabric::LeaseQueue &_queue;
+};
+
+/**
+ * A done marker vouches for its config only while the result CSV
+ * strict-parses. A missing or damaged CSV (a torn write, a stray
+ * edit) is restored from the store; false when the store has no
+ * entry either, and the caller re-runs the config.
+ */
+bool
+restoreDoneCsv(const RunnerOptions &opts, fabric::ResultStore &store,
+               const SweepConfig &cfg, const fabric::StoreKey &key)
+{
+    const std::string csvPath = opts.outDir + "/" + cfg.name + ".csv";
+    auto parsed = tryParse([&] { return parseFrameCsvFile(csvPath); });
+    if (parsed.ok())
+        return true;
+    auto payload = store.fetch(key);
+    if (!payload)
+        return false;
+    warn("'", cfg.name, "': ", parsed.error().describe(),
+         "; restored from the store");
+    atomicWriteFile(csvPath, *payload);
+    return true;
+}
+
+/**
+ * Run the sweep as one worker: cooperate with any number of peer
+ * processes through the shared lease queue and result store until
+ * every config has a terminal marker, then merge. See the file
+ * comment for the protocol; the invariant that makes every race
+ * benign is that a config's result bytes are a pure function of its
+ * store key, so duplicate publications collide into identical
+ * entries.
  */
 int
-runSweepFabric(const RunnerOptions &opts,
-               std::vector<SweepConfig> &configs)
+runSweep(const RunnerOptions &opts, std::vector<SweepConfig> &configs)
 {
     fabric::LeaseQueue queue(opts.outDir + "/queue", opts.workerId);
     fabric::ResultStore store(opts.storeDir, opts.storeStrict);
+    const LeaseRelease releaseOnExit(queue);
 
     std::vector<fabric::StoreKey> keys(configs.size());
     std::vector<std::string> metas(configs.size());
@@ -1265,10 +951,11 @@ runSweepFabric(const RunnerOptions &opts,
 
     while (true) {
         if (g_signal != 0) {
-            std::cerr << "fabric worker " << opts.workerId
-                      << " interrupted; leases will expire and "
-                      << "peers will redispatch\n";
-            writeFabricStats(opts, store, &queue, speculativeRuns);
+            std::cerr << "worker " << opts.workerId
+                      << " interrupted; re-run the same command to "
+                      << "finish the sweep\n";
+            writeFabricStats(opts, store, queue, speculativeRuns,
+                             configs);
             return exitInterrupted;
         }
 
@@ -1279,25 +966,20 @@ runSweepFabric(const RunnerOptions &opts,
             if (g_signal != 0)
                 break;
             if (queue.isDone(cfg.name)) {
-                cfg.status = "done";
-                std::string csvPath =
-                    opts.outDir + "/" + cfg.name + ".csv";
-                if (!io::fileExists(csvPath)) {
-                    // Done marker without a CSV (lost to a torn
-                    // write): restore it from the store, or demote
-                    // the config back to pending.
-                    if (auto payload = store.fetch(keys[i])) {
-                        atomicWriteFile(csvPath, *payload);
-                    } else {
-                        warn("'", cfg.name, "' marked done but has "
-                             "no CSV and no store entry; "
-                             "re-running");
-                        io::removeQuiet(opts.outDir + "/queue/" +
-                                        cfg.name + ".done");
-                        cfg.status = "pending";
-                        allTerminal = false;
-                    }
+                // Check the CSV once, when this worker first sees
+                // the marker; a config it finished itself was
+                // checked on publication.
+                if (cfg.status == "done" ||
+                    restoreDoneCsv(opts, store, cfg, keys[i])) {
+                    cfg.status = "done";
+                    continue;
                 }
+                warn("'", cfg.name, "' marked done but its CSV is "
+                     "unusable and the store has no entry; "
+                     "re-running");
+                io::removeQuiet(opts.outDir + "/queue/" + cfg.name +
+                                ".done");
+                allTerminal = false;
                 continue;
             }
             int failCode = -1;
@@ -1330,9 +1012,13 @@ runSweepFabric(const RunnerOptions &opts,
                 continue;
             }
         }
+        // An interrupt can cut the pass short before it reaches a
+        // pending config; the loop head reports it.
+        if (g_signal != 0)
+            continue;
         if (allTerminal)
             break;
-        if (progress || g_signal != 0)
+        if (progress)
             continue;
 
         // Nothing claimable: everyone else holds the remaining
@@ -1384,7 +1070,7 @@ runSweepFabric(const RunnerOptions &opts,
             sleepMs(opts.pollMs);
     }
 
-    writeFabricStats(opts, store, &queue, speculativeRuns);
+    writeFabricStats(opts, store, queue, speculativeRuns, configs);
 
     size_t failed = 0;
     for (const SweepConfig &cfg : configs)
@@ -1394,7 +1080,7 @@ runSweepFabric(const RunnerOptions &opts,
         std::cerr << failed
                   << " config(s) failed permanently; see the "
                   << ".failed markers in " << opts.outDir
-                  << "/queue\n";
+                  << "/queue (delete one to retry its config)\n";
         return exitSomeFailed;
     }
     // Every worker that reaches this point merges; the atomic
@@ -1439,111 +1125,15 @@ run(int argc, char **argv)
         return runFsck(opts);
 
     io::makeDirs(opts.outDir);
-
     std::vector<SweepConfig> configs = loadConfigs(opts.configsPath);
-    if (opts.resume && !opts.fabricMode)
-        mergePriorProgress(opts, configs);
 
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
 
-    if (opts.fabricMode) {
-        // Fabric state lives in the queue markers and the store —
-        // always effectively resumed, no manifest dance needed.
-        std::cout << "fabric worker " << opts.workerId << ": "
-                  << configs.size() << " config(s), queue "
-                  << opts.outDir << "/queue, store "
-                  << opts.storeDir << "\n";
-        return runSweepFabric(opts, configs);
-    }
-
-    size_t done = 0;
-    for (const SweepConfig &cfg : configs)
-        if (cfg.status == "done")
-            ++done;
-    std::cout << "sweep: " << configs.size() << " config(s), "
-              << done << " already done\n";
-
-    if (opts.threads > 0)
-        return runSweepInProcess(opts, configs);
-
-    std::unique_ptr<fabric::ResultStore> store;
-    std::vector<fabric::StoreKey> keys(configs.size());
-    std::vector<std::string> metas(configs.size());
-    if (!opts.storeDir.empty()) {
-        store = std::make_unique<fabric::ResultStore>(
-            opts.storeDir, opts.storeStrict);
-        for (size_t i = 0; i < configs.size(); ++i)
-            if (configs[i].status != "done")
-                keys[i] =
-                    configStoreKey(opts, configs[i], &metas[i]);
-    }
-
-    bool interrupted = false;
-    for (size_t i = 0; i < configs.size(); ++i) {
-        SweepConfig &cfg = configs[i];
-        if (g_signal != 0) {
-            interrupted = true;
-            break;
-        }
-        if (cfg.status == "done") {
-            std::cout << "  " << cfg.name << ": done (resumed)\n";
-            continue;
-        }
-        if (store) {
-            if (auto payload = store->fetch(keys[i])) {
-                atomicWriteFile(opts.outDir + "/" + cfg.name +
-                                    ".csv",
-                                *payload);
-                cfg.status = "done";
-                cfg.exitCode = 0;
-                std::cout << "  " << cfg.name
-                          << ": done (store hit)\n";
-                saveManifest(opts, configs);
-                continue;
-            }
-        }
-
-        superviseConfig(opts, cfg, interrupted);
-        if (interrupted)
-            break;
-        if (cfg.status == "done") {
-            if (store)
-                publishResult(opts, *store, cfg, keys[i], metas[i]);
-            std::cout << "  " << cfg.name << ": done\n";
-        }
-
-        // Persist progress after every config so a crash loses at
-        // most the config in flight.
-        saveManifest(opts, configs);
-    }
-
-    saveManifest(opts, configs);
-    if (store)
-        writeFabricStats(opts, *store, nullptr, 0);
-
-    if (interrupted) {
-        std::cerr << "sweep interrupted; progress saved to "
-                  << manifestPath(opts) << " (resume with "
-                  << "--resume)\n";
-        return exitInterrupted;
-    }
-
-    size_t failed = 0;
-    for (const SweepConfig &cfg : configs)
-        if (cfg.status != "done")
-            ++failed;
-    if (failed > 0) {
-        std::cerr << failed << " config(s) failed permanently; see "
-                  << manifestPath(opts) << "\n";
-        return exitSomeFailed;
-    }
-
-    mergeResults(opts, configs);
-    std::cout << "sweep complete: " << configs.size()
-              << " config(s); merged results in " << opts.outDir
-              << "/sweep.csv\n";
-    return exitOk;
+    std::cout << "sweep worker " << opts.workerId << ": "
+              << configs.size() << " config(s), queue " << opts.outDir
+              << "/queue, store " << opts.storeDir << "\n";
+    return runSweep(opts, configs);
 }
 
 } // namespace
@@ -1551,10 +1141,10 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Malformed input — command line, sweep manifest, result CSV,
-    // store entry — exits with the surface's documented code; a bad
-    // command line also reprints the usage text. Fabric faults
-    // (lease lost, store corrupt) carry their own codes.
+    // Malformed input — command line, result CSV, store entry —
+    // exits with the surface's documented code; a bad command line
+    // also reprints the usage text. Fabric faults (lease lost, store
+    // corrupt) carry their own codes.
     try {
         return run(argc, argv);
     } catch (const ParseError &e) {
@@ -1569,7 +1159,7 @@ main(int argc, char **argv)
         // Filesystem failure in the supervisor itself. Exit 14 is
         // environmental: the caller (human or fabric_chaos wave)
         // relaunches, and the VFS rollback guarantees no partial
-        // manifest/merge/store artifact survived the failure.
+        // store/queue/merge artifact survived the failure.
         std::cerr << "fatal: " << e.describe() << "\n";
         return e.exitCode();
     }
