@@ -33,7 +33,6 @@ inline const std::vector<uint32_t> sliLines = {1, 2, 4, 8, 16, 32};
 inline const std::vector<uint32_t> procCounts = {1, 2, 4, 8, 16, 32,
                                                  64};
 
-/** The paper's fixed machine parameters as a starting config. */
 /**
  * Column label of one distribution parameter: "w8" for a block
  * width, "l4" for SLI lines. Built with append: GCC 12 warns
@@ -46,6 +45,7 @@ paramLabel(DistKind kind, uint32_t param)
         .append(std::to_string(param));
 }
 
+/** The paper's fixed machine parameters as a starting config. */
 inline MachineConfig
 paperConfig()
 {

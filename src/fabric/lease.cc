@@ -203,50 +203,76 @@ LeaseQueue::markDone(const std::string &name, const StoreKey &key)
 }
 
 void
-LeaseQueue::markFailed(const std::string &name, int exitCode)
+LeaseQueue::markFailed(const std::string &name, const StoreKey &key,
+                       int exitCode)
 {
     JsonValue root = JsonValue::makeObject();
     root.set("format", JsonValue::makeString("texdist-failed"));
     root.set("version", JsonValue::makeNumber(1));
     root.set("config", JsonValue::makeString(name));
+    root.set("key", JsonValue::makeString(key.hex()));
     root.set("exit_code", JsonValue::makeNumber(exitCode));
     atomicWriteFile(_dir + "/" + name + ".failed", root.dump());
 }
 
-bool
-LeaseQueue::isDone(const std::string &name) const
+std::optional<LeaseQueue::Marker>
+LeaseQueue::readMarker(const std::string &name,
+                       const std::string &kind) const
 {
-    auto bytes = io::readFileIfPresent(_dir + "/" + name + ".done");
+    auto bytes = io::readFileIfPresent(_dir + "/" + name + "." + kind);
     if (!bytes)
-        return false;
+        return std::nullopt;
     // A torn marker is treated as absent: the config re-runs (a
     // store hit makes that cheap) and the rewrite repairs the file.
     auto parsed = tryParse([&] {
-        return JsonValue::parse(*bytes).at("format").asString() ==
-               "texdist-done";
+        JsonValue root = JsonValue::parse(*bytes);
+        if (root.at("format").asString() != "texdist-" + kind)
+            throw ParseError(ParseSurface::Fabric, ParseRule::Magic,
+                             "not a " + kind + " marker");
+        Marker m;
+        // A marker without a key predates keyed markers: it cannot
+        // vouch for any key.
+        if (const JsonValue *key = root.get("key"))
+            m.key = key->asString();
+        if (kind == "failed")
+            m.exitCode = int(root.at("exit_code").asNumber());
+        return m;
     });
-    return parsed.ok() && parsed.value();
+    if (!parsed.ok())
+        return std::nullopt;
+    return parsed.value();
 }
 
 bool
-LeaseQueue::isFailed(const std::string &name, int *exitCode) const
+LeaseQueue::isDone(const std::string &name, const StoreKey &key) const
 {
-    auto bytes =
-        io::readFileIfPresent(_dir + "/" + name + ".failed");
-    if (!bytes)
-        return false;
-    auto parsed = tryParse([&] {
-        JsonValue root = JsonValue::parse(*bytes);
-        if (root.at("format").asString() != "texdist-failed")
-            throw ParseError(ParseSurface::Fabric, ParseRule::Magic,
-                             "not a failed marker");
-        return int(root.at("exit_code").asNumber());
-    });
-    if (!parsed.ok())
+    auto m = readMarker(name, "done");
+    return m && m->key == key.hex();
+}
+
+bool
+LeaseQueue::isFailed(const std::string &name, const StoreKey &key,
+                     int *exitCode) const
+{
+    auto m = readMarker(name, "failed");
+    if (!m || m->key != key.hex())
         return false;
     if (exitCode)
-        *exitCode = parsed.value();
+        *exitCode = m->exitCode;
     return true;
+}
+
+bool
+LeaseQueue::dropStaleMarkers(const std::string &name,
+                             const StoreKey &key)
+{
+    bool dropped = false;
+    for (const std::string kind : {"done", "failed"}) {
+        auto m = readMarker(name, kind);
+        if (m && m->key != key.hex())
+            dropped |= io::removeQuiet(_dir + "/" + name + "." + kind);
+    }
+    return dropped;
 }
 
 } // namespace fabric

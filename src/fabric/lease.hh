@@ -12,7 +12,8 @@
  *   <config>.done    terminal success: the store key of the result
  *                    (byte-identical no matter which worker writes
  *                    it, so duplicate finishers collide harmlessly)
- *   <config>.failed  terminal permanent failure: the exit code
+ *   <config>.failed  terminal permanent failure: the store key
+ *                    and the exit code
  *
  * Liveness is judged without any wall clock — heartbeats are
  * logical counters, and an observer counts its *own* polls since
@@ -114,22 +115,46 @@ class LeaseQueue
     /** Is the config claimed at all (lease file present)? */
     bool isClaimed(const std::string &name) const;
 
+    // Terminal markers record the store key of the config they were
+    // written for; a marker for another key (the config line, the
+    // common arguments or the code changed since) reads as absent.
+
     /** Write the terminal done marker (idempotent, atomic). */
     void markDone(const std::string &name, const StoreKey &key);
 
     /** Write the terminal failed marker (idempotent, atomic). */
-    void markFailed(const std::string &name, int exitCode);
+    void markFailed(const std::string &name, const StoreKey &key,
+                    int exitCode);
 
-    bool isDone(const std::string &name) const;
+    bool isDone(const std::string &name, const StoreKey &key) const;
 
     /** Failed marker present? Fills @p exitCode when non-null. */
-    bool isFailed(const std::string &name,
+    bool isFailed(const std::string &name, const StoreKey &key,
                   int *exitCode = nullptr) const;
+
+    /**
+     * Remove the markers of @p name written for a key other than
+     * @p key, so a stale verdict can never come back should the
+     * arguments change back. True when one was removed.
+     */
+    bool dropStaleMarkers(const std::string &name,
+                          const StoreKey &key);
 
     /** Leases this worker seized from stale holders (stats). */
     uint64_t stolen() const { return _stolen; }
 
   private:
+    /** Decoded terminal marker. */
+    struct Marker
+    {
+        std::string key;
+        int exitCode = 0;
+    };
+
+    /** Read `<name>.<kind>`; nullopt when absent or torn. */
+    std::optional<Marker> readMarker(const std::string &name,
+                                     const std::string &kind) const;
+
     std::string leasePath(const std::string &name) const;
     std::string leaseContent(const std::string &name, uint64_t beat,
                              uint64_t generation) const;

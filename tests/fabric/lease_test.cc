@@ -174,8 +174,8 @@ TEST(LeaseQueue, DoneMarkersAreByteIdenticalAcrossFinishers)
     // speculative duplicate publish the identical file, so the race
     // has no loser.
     EXPECT_EQ(first, second);
-    EXPECT_TRUE(a.isDone("cfg"));
-    EXPECT_TRUE(b.isDone("cfg"));
+    EXPECT_TRUE(a.isDone("cfg", key));
+    EXPECT_TRUE(b.isDone("cfg", key));
 }
 
 TEST(LeaseQueue, TornMarkersReadAsAbsent)
@@ -190,22 +190,54 @@ TEST(LeaseQueue, TornMarkersReadAsAbsent)
         std::ofstream os(dir + "/cfg.failed", std::ios::trunc);
         os << "{\"format\":\"texdi"; // cut mid-write
     }
-    EXPECT_FALSE(q.isDone("cfg"));
-    EXPECT_FALSE(q.isFailed("cfg"));
+    EXPECT_FALSE(q.isDone("cfg", StoreKey{1}));
+    EXPECT_FALSE(q.isFailed("cfg", StoreKey{1}));
+    // Nothing to drop: a torn marker is overwritten, not removed.
+    EXPECT_FALSE(q.dropStaleMarkers("cfg", StoreKey{1}));
     // The config simply re-runs and the rewrite repairs the marker.
     q.markDone("cfg", StoreKey{1});
-    EXPECT_TRUE(q.isDone("cfg"));
+    EXPECT_TRUE(q.isDone("cfg", StoreKey{1}));
 }
 
 TEST(LeaseQueue, FailedMarkerCarriesTheExitCode)
 {
     std::string dir = freshDir("lease-failed");
     LeaseQueue q(dir, "alice");
-    q.markFailed("cfg", 6);
+    q.markFailed("cfg", StoreKey{1}, 6);
     int code = -1;
-    EXPECT_TRUE(q.isFailed("cfg", &code));
+    EXPECT_TRUE(q.isFailed("cfg", StoreKey{1}, &code));
     EXPECT_EQ(code, 6);
-    EXPECT_FALSE(q.isDone("cfg"));
+    EXPECT_FALSE(q.isDone("cfg", StoreKey{1}));
+}
+
+TEST(LeaseQueue, MarkersCountOnlyForTheirKey)
+{
+    std::string dir = freshDir("lease-keyed");
+    LeaseQueue q(dir, "alice");
+    q.markDone("done", StoreKey{1});
+    q.markFailed("failed", StoreKey{1}, 6);
+    // Written for other arguments: neither verdict carries over.
+    EXPECT_FALSE(q.isDone("done", StoreKey{2}));
+    EXPECT_FALSE(q.isFailed("failed", StoreKey{2}));
+    // A marker for the current key is kept...
+    EXPECT_FALSE(q.dropStaleMarkers("done", StoreKey{1}));
+    EXPECT_TRUE(q.isDone("done", StoreKey{1}));
+    // ...and a stale one removed, so it cannot come back should the
+    // arguments change back.
+    EXPECT_TRUE(q.dropStaleMarkers("done", StoreKey{2}));
+    EXPECT_TRUE(q.dropStaleMarkers("failed", StoreKey{2}));
+    EXPECT_FALSE(q.isDone("done", StoreKey{1}));
+    EXPECT_FALSE(q.isFailed("failed", StoreKey{1}));
+    EXPECT_FALSE(q.dropStaleMarkers("done", StoreKey{2}));
+
+    // A failed marker written without a key vouches for none.
+    {
+        std::ofstream os(dir + "/old.failed", std::ios::trunc);
+        os << "{\"config\":\"old\",\"exit_code\":6,"
+              "\"format\":\"texdist-failed\",\"version\":1}";
+    }
+    EXPECT_FALSE(q.isFailed("old", StoreKey{1}));
+    EXPECT_TRUE(q.dropStaleMarkers("old", StoreKey{1}));
 }
 
 TEST(LeaseQueue, CorruptLeaseReadsAsUnreadableNotFatal)

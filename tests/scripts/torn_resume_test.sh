@@ -8,6 +8,11 @@
 # simulating anything again and without a typed CSV error — and the
 # merged sweep.csv must come out byte-identical to an undamaged run.
 #
+# Markers vouch only for the arguments they were written for: a
+# re-run into the same --out with changed common arguments must
+# produce what a fresh run with the new arguments produces, and a
+# config whose failing line was fixed must run again.
+#
 # Usage: torn_resume_test.sh <texdist_sim> <sweep_runner> <workdir>
 set -u
 
@@ -38,9 +43,12 @@ tear() { # file bytes_to_cut
     head -c "$keep" "$1" > "$1.torn" && mv "$1.torn" "$1"
 }
 
-run_sweep() { # outdir worker-id
-    "$RUNNER" --sim="$SIM" --configs="$CONFIGS" --out="$1" \
-        --worker-id="$2" -- $COMMON
+run_sweep() { # outdir worker-id [extra common args...]
+    out=$1
+    worker=$2
+    shift 2
+    "$RUNNER" --sim="$SIM" --configs="$CONFIGS" --out="$out" \
+        --worker-id="$worker" -- $COMMON "$@"
 }
 
 # One numeric field of a worker's fabric stats.
@@ -90,5 +98,50 @@ STATS="$WORK/marker/fabric_stats.w1.json"
 [ "$(stat_of "$STATS" ran)" = "0" ] \
     || fail "the torn-marker re-run simulated a config again"
 
-echo "PASS: a torn CSV is restored and a torn done marker re-runs as a store hit"
+# --- Changed common arguments: markers of the old run do not count. --
+COMMON="--scene=quake --scale=0.25 --procs=4"
+run_sweep "$WORK/fresh3" w0 --frames=3 > /dev/null \
+    || fail "fresh --frames=3 sweep exited nonzero"
+run_sweep "$WORK/args" w0 --frames=2 > /dev/null \
+    || fail "--frames=2 sweep exited nonzero"
+cp "$WORK/args/sweep.csv" "$WORK/frames2.csv"
+
+OUT=$(run_sweep "$WORK/args" w0 --frames=3 2>&1) \
+    || fail "--frames=3 re-run exited nonzero: $OUT"
+echo "$OUT" | grep -q "written for other arguments" \
+    || fail "no stale-marker warning in: $OUT"
+for f in sweep block8 block16 sli2; do
+    cmp "$WORK/fresh3/$f.csv" "$WORK/args/$f.csv" \
+        || fail "$f.csv after the --frames=3 re-run differs from a" \
+                "fresh --frames=3 run"
+done
+[ "$(stat_of "$WORK/args/fabric_stats.w0.json" ran)" = "3" ] \
+    || fail "the --frames=3 re-run did not simulate all 3 configs"
+
+# Back to the old arguments: served from the store, byte-identical.
+OUT=$(run_sweep "$WORK/args" w0 --frames=2 2>&1) \
+    || fail "--frames=2 re-run exited nonzero: $OUT"
+cmp "$WORK/frames2.csv" "$WORK/args/sweep.csv" \
+    || fail "sweep.csv after returning to --frames=2 differs"
+[ "$(stat_of "$WORK/args/fabric_stats.w0.json" store_hits)" = "3" ] \
+    || fail "returning to --frames=2 was not 3 store hits"
+
+# --- A failed config whose line was fixed runs again. ---------------
+CONFIGS="$WORK/fix.cfg"
+printf 'block8: --dist=block --param=8\nsli2: --dist=sli --no-such-flag\n' \
+    > "$CONFIGS"
+run_sweep "$WORK/fix" w0 --frames=2 > /dev/null
+[ $? -eq 2 ] || fail "the sweep with a bad config line should exit 2"
+[ -f "$WORK/fix/queue/sli2.failed" ] || fail "no failed marker for sli2"
+
+printf 'block8: --dist=block --param=8\nsli2: --dist=sli --param=2\n' \
+    > "$CONFIGS"
+OUT=$(run_sweep "$WORK/fix" w0 --frames=2 2>&1) \
+    || fail "re-run after fixing sli2's line exited nonzero: $OUT"
+cmp "$WORK/args/sli2.csv" "$WORK/fix/sli2.csv" \
+    || fail "the fixed sli2 config did not produce its result"
+[ ! -f "$WORK/fix/queue/sli2.failed" ] \
+    || fail "the stale failed marker for sli2 was left behind"
+
+echo "PASS: torn CSVs and done markers are repaired, and markers count only for their arguments"
 exit 0

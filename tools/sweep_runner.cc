@@ -47,11 +47,15 @@
  * Sweep state lives entirely in the queue markers and the store, so
  * there is no resume step: re-running the same command line after a
  * crash or an interrupt skips every config with a `.done` marker or
- * a store hit. A `.failed` marker is terminal for its --out; to retry
- * that config, delete `<out>/queue/<name>.failed`, or re-run into a
- * fresh --out against the same --store. Each worker records the
- * configs it ran (status, attempts, signal deaths, exit code) in
- * `<out>/fabric_stats.<worker>.json`.
+ * a store hit. Markers record the store key they were written for
+ * and count only for it, so a re-run with a changed config line or
+ * common arguments runs the changed configs again. A `.failed`
+ * marker is terminal for its --out and key; to retry that config,
+ * delete `<out>/queue/<name>.failed`, or re-run into a fresh --out
+ * against the same --store. Each worker records the configs it ran
+ * (status, attempts, signal deaths, exit code) in
+ * `<out>/fabric_stats.<worker>.json`; a one-worker sweep passes a
+ * fixed --worker-id so its re-runs keep one such file.
  *
  * Exit codes: 0 every config done, 1 usage/config error, 2 some
  * configs failed permanently, 3 interrupted (a re-run continues
@@ -214,7 +218,10 @@ usage()
         "  --fabric           no effect: every run is a shared-queue\n"
         "                     worker (accepted for old command lines)\n"
         "  --worker-id=<id>   worker name, unique among the workers\n"
-        "                     sharing --out (default w<pid>)\n"
+        "                     sharing --out (default w<pid>); it\n"
+        "                     names <out>/fabric_stats.<id>.json,\n"
+        "                     so give a one-worker sweep a fixed id\n"
+        "                     to keep one stats file across re-runs\n"
         "  --poll-ms=<n>      idle poll period and lease\n"
         "                     heartbeat period while a child runs\n"
         "                     (default 50); child exit is noticed\n"
@@ -798,12 +805,13 @@ writeFabricStats(const RunnerOptions &opts,
         ran.append(std::move(entry));
     }
     root.set("configs", std::move(ran));
-    atomicWriteFile(opts.outDir + "/fabric_stats." + opts.workerId +
-                        ".json",
-                    root.dump());
+    const std::string path =
+        opts.outDir + "/fabric_stats." + opts.workerId + ".json";
+    atomicWriteFile(path, root.dump());
     std::cout << "store: " << store.stats().hits << " hit(s), "
               << store.stats().misses << " miss(es), "
-              << store.stats().corrupt << " quarantined\n";
+              << store.stats().corrupt << " quarantined; stats in "
+              << path << "\n";
 }
 
 /**
@@ -908,6 +916,13 @@ runSweep(const RunnerOptions &opts, std::vector<SweepConfig> &configs)
     std::vector<std::string> metas(configs.size());
     for (size_t i = 0; i < configs.size(); ++i)
         keys[i] = configStoreKey(opts, configs[i], &metas[i]);
+    // A marker vouches only for the arguments it was written for: a
+    // config whose line, common arguments or code changed since is
+    // served from the store or simulated again.
+    for (size_t i = 0; i < configs.size(); ++i)
+        if (queue.dropStaleMarkers(configs[i].name, keys[i]))
+            warn("'", configs[i].name, "': its queue marker was "
+                 "written for other arguments; discarded");
 
     uint64_t speculativeRuns = 0;
     // Polls each non-terminal config has spent claimed-by-a-peer;
@@ -942,7 +957,7 @@ runSweep(const RunnerOptions &opts, std::vector<SweepConfig> &configs)
             chaosMaybeKill(opts, "publish");
             queue.markDone(cfg.name, keys[i]);
         } else {
-            queue.markFailed(cfg.name, cfg.exitCode);
+            queue.markFailed(cfg.name, keys[i], cfg.exitCode);
         }
         if (!speculative)
             queue.release(cfg.name);
@@ -965,7 +980,7 @@ runSweep(const RunnerOptions &opts, std::vector<SweepConfig> &configs)
             SweepConfig &cfg = configs[i];
             if (g_signal != 0)
                 break;
-            if (queue.isDone(cfg.name)) {
+            if (queue.isDone(cfg.name, keys[i])) {
                 // Check the CSV once, when this worker first sees
                 // the marker; a config it finished itself was
                 // checked on publication.
@@ -983,7 +998,7 @@ runSweep(const RunnerOptions &opts, std::vector<SweepConfig> &configs)
                 continue;
             }
             int failCode = -1;
-            if (queue.isFailed(cfg.name, &failCode)) {
+            if (queue.isFailed(cfg.name, keys[i], &failCode)) {
                 cfg.status = "failed";
                 cfg.exitCode = failCode;
                 continue;
@@ -1027,8 +1042,8 @@ runSweep(const RunnerOptions &opts, std::vector<SweepConfig> &configs)
         bool acted = false;
         for (size_t i = 0; i < configs.size(); ++i) {
             SweepConfig &cfg = configs[i];
-            if (queue.isDone(cfg.name) ||
-                queue.isFailed(cfg.name) || g_signal != 0)
+            if (queue.isDone(cfg.name, keys[i]) ||
+                queue.isFailed(cfg.name, keys[i]) || g_signal != 0)
                 continue;
             uint64_t unchanged = queue.observeUnchanged(cfg.name);
             if (unchanged == 0) {
