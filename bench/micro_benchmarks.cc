@@ -140,8 +140,8 @@ BM_TrilinearBatchKernel(benchmark::State &state)
 {
     // Batched address generation pinned to one SIMD tier, so the
     // scalar/sse2/avx2 rows can be compared directly; the ratio of
-    // the scalar to the avx2 median is the kernel speedup
-    // bench_report records. Unsupported tiers skip rather than lie.
+    // the scalar to the avx2 median is the kernel speedup.
+    // Unsupported tiers skip rather than lie.
     const auto kernel = simd::Kernel(uint8_t(state.range(1)));
     if (!simd::forceKernel(kernel)) {
         state.SkipWithError("kernel unsupported on this host");

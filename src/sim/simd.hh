@@ -9,10 +9,11 @@
  * decisions — so the choice of kernel can never change a digest, a
  * checkpoint byte or a result CSV. That makes the kernel a pure
  * host-side throughput knob, like `--jobs`: it is not part of
- * MachineConfig::describe() and never serialized. The parity test
- * suite (tests/texture/sampler_simd_test.cc,
- * tests/raster/raster_simd_test.cc) and the bench_report digest
- * cross-check enforce the bit-identity claim.
+ * MachineConfig::describe() and never serialized. The parity tests
+ * enforce the bit-identity claim: per kernel
+ * (tests/texture/sampler_simd_test.cc,
+ * tests/raster/raster_simd_test.cc) and per whole-machine frame
+ * digest (SequenceSimd in tests/core/sequence_test.cc).
  *
  * Tiers:
  *  - Scalar: the reference implementation, always available. The

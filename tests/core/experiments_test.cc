@@ -6,6 +6,7 @@
 
 #include "core/error.hh"
 #include "core/experiments.hh"
+#include "core/replay.hh"
 #include "scene/benchmarks.hh"
 #include "scene/builder.hh"
 
@@ -215,7 +216,7 @@ TEST(BenchOptionsError, RejectsBadThreads)
 TEST(FrameLab, BatchMatchesSerialRuns)
 {
     // runBatch on a real pool must reproduce runWithSpeedup exactly:
-    // same baselines, same frame results, same speedups.
+    // same baselines, same whole-frame digests, same speedups.
     SceneBuilder b("batch", 96, 96, 11);
     auto pool = b.makeTexturePool(3, 16, 32);
     b.addBackgroundLayer(pool, 24, 24, 1.0);
@@ -249,7 +250,10 @@ TEST(FrameLab, BatchMatchesSerialRuns)
         EXPECT_EQ(got[i].frame.totalTexelsFetched,
                   expect[i].frame.totalTexelsFetched);
         EXPECT_DOUBLE_EQ(got[i].speedup, expect[i].speedup);
+        EXPECT_EQ(digestFrame(got[i].frame),
+                  digestFrame(expect[i].frame));
         EXPECT_EQ(many[i].frameTime, expect[i].frame.frameTime);
+        EXPECT_EQ(digestFrame(many[i]), digestFrame(expect[i].frame));
     }
 }
 

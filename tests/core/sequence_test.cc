@@ -1,14 +1,34 @@
 /** @file Tests for multi-frame sequence simulation. */
 
+#include <cmath>
+#include <ostream>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/interframe.hh"
 #include "core/error.hh"
+#include "core/options.hh"
+#include "core/replay.hh"
 #include "core/sequence.hh"
+#include "scene/benchmarks.hh"
 #include "scene/builder.hh"
+#include "sim/simd.hh"
 
 namespace texdist
 {
+namespace simd
+{
+
+/** Name a tier in test output and ctest names ("avx2"). */
+void
+PrintTo(Kernel kernel, std::ostream *os)
+{
+    *os << to_string(kernel);
+}
+
+} // namespace simd
+
 namespace
 {
 
@@ -187,6 +207,142 @@ TEST(SequenceRestorePoison, SuccessfulRestoreClearsNothingByMistake)
     CheckpointReader r("clean-restore", w.bytes());
     back.restore(r);
     EXPECT_EQ(back.runFrame(scene).totalPixels, reference);
+}
+
+/**
+ * The machine of the 8-px pan of 32massive11255 below: the paper's
+ * fixed parameters (MachineConfig's defaults: 16 KB set-associative
+ * caches, a 1 texel/cycle bus) at 16 processors, block width 16.
+ */
+MachineConfig
+panConfig()
+{
+    MachineConfig cfg;
+    cfg.numProcs = 16;
+    cfg.dist = DistKind::Block;
+    cfg.tileParam = 16;
+    return cfg;
+}
+
+/** Frame @p f of the pan: the scene moved 8 px right per frame. */
+Scene
+panFrame(const Scene &base, uint32_t f)
+{
+    return translateScene(base, float(8 * f), 0.0f);
+}
+
+/** Frame digests of the first @p frames pan frames at --jobs=1. */
+std::vector<uint64_t>
+panDigests(const Scene &base, uint32_t frames)
+{
+    std::vector<uint64_t> digests;
+    SequenceMachine machine(base, panConfig(), 1);
+    for (uint32_t f = 0; f < frames; ++f) {
+        Scene frame = f == 0 ? Scene() : panFrame(base, f);
+        digests.push_back(
+            digestFrame(machine.runFrame(f == 0 ? base : frame)));
+    }
+    return digests;
+}
+
+class SequenceSimd : public ::testing::TestWithParam<simd::Kernel>
+{
+};
+
+TEST_P(SequenceSimd, PanDigestsMatchScalar)
+{
+    // Whole-machine tier parity: rasterizer coverage and trilinear
+    // addressing both dispatch through simd::dispatch(), so every
+    // frame digest of a warm-cache pan must be the scalar one.
+    if (!simd::kernelSupported(GetParam()))
+        GTEST_SKIP() << simd::to_string(GetParam())
+                     << " kernel not available on this host or build";
+    const Scene scene = makeBenchmark("32massive11255", 0.25);
+    auto digestsOn = [&](simd::Kernel kernel) {
+        EXPECT_TRUE(simd::forceKernel(kernel));
+        std::vector<uint64_t> digests = panDigests(scene, 3);
+        simd::clearForcedKernel();
+        return digests;
+    };
+    EXPECT_EQ(digestsOn(GetParam()), digestsOn(simd::Kernel::Scalar));
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, SequenceSimd,
+                         ::testing::Values(simd::Kernel::SSE2,
+                                           simd::Kernel::AVX2));
+
+/** Cache accesses and misses summed over the frames it was given. */
+struct MissCount
+{
+    uint64_t accesses = 0;
+    uint64_t misses = 0;
+    uint32_t frames = 0;
+
+    void
+    add(const FrameResult &r)
+    {
+        for (const NodeResult &n : r.nodes) {
+            accesses += n.cacheAccesses;
+            misses += n.cacheMisses;
+        }
+        ++frames;
+    }
+
+    double
+    rate() const
+    {
+        return accesses ? double(misses) / double(accesses) : 0.0;
+    }
+};
+
+TEST(Sequence, SampledPanMissRateWithinTwoPercent)
+{
+    // Sampled fast-forward must estimate the full run's steady-state
+    // miss rate within 2%: 87 frames of the 8-px pan, one warm and one
+    // detailed frame per 29-frame period. The steady state excludes
+    // frame 0, the cold start that sampling amortizes away; every
+    // later frame starts warm, the regime the detailed windows
+    // measure. The odd period lands successive windows on alternating
+    // frame parities, which cancels the pan's frame-to-frame miss-rate
+    // oscillation. The error is deterministic: 0.0095 on x86-64.
+    const Scene scene = makeBenchmark("32massive11255", 0.25);
+    const SampleSpec spec = parseSampleSpec("warm:1,detail:1,ff:27");
+    constexpr uint32_t frames = 87;
+
+    MissCount steady;
+    {
+        SequenceMachine machine(scene, panConfig(), 1);
+        for (uint32_t f = 0; f < frames; ++f) {
+            Scene frame = f == 0 ? Scene() : panFrame(scene, f);
+            FrameResult r = machine.runFrame(f == 0 ? scene : frame);
+            if (f > 0)
+                steady.add(r);
+        }
+    }
+
+    MissCount sampled;
+    {
+        SequenceMachine machine(scene, panConfig(), 1);
+        for (uint32_t f = 0; f < frames; ++f) {
+            const FrameRole role = frameRole(spec, f);
+            if (role == FrameRole::Skip)
+                continue;
+            Scene frame = f == 0 ? Scene() : panFrame(scene, f);
+            const Scene &input = f == 0 ? scene : frame;
+            if (role == FrameRole::Warm)
+                machine.runFrameFunctional(input);
+            else
+                sampled.add(machine.runFrame(input));
+        }
+    }
+
+    ASSERT_EQ(sampled.frames, 3u);
+    ASSERT_GT(steady.rate(), 0.0);
+    const double error =
+        std::abs(sampled.rate() - steady.rate()) / steady.rate();
+    EXPECT_LT(error, 0.02) << "sampled miss rate " << sampled.rate()
+                           << ", full-run steady state "
+                           << steady.rate();
 }
 
 } // namespace

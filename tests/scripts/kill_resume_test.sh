@@ -95,12 +95,22 @@ fi
 STALE=$(ls "$WORK/kill/queue" | grep "\.lease$" || true)
 
 "$RUNNER" --sim="$SIM" --configs="$CONFIGS" --out="$WORK/kill" \
-    -- $COMMON > "$WORK/rerun.log" 2>&1 \
+    --worker-id=rerun -- $COMMON > "$WORK/rerun.log" 2>&1 \
     || fail "resumed sweep exited nonzero: $(cat "$WORK/rerun.log")"
 if [ -n "$STALE" ]; then
     grep -q "seized stale lease" "$WORK/rerun.log" \
         || fail "the re-run did not seize the stale lease $STALE"
 fi
+
+# Store misses count configs, not the poll rounds spent waiting out
+# the stale lease: at most one per config.
+MISSES=$(python3 -c '
+import json, sys
+print(json.load(open(sys.argv[1]))["store_misses"])
+' "$WORK/kill/fabric_stats.rerun.json") \
+    || fail "the re-run wrote no readable fabric stats"
+[ "$MISSES" -le 3 ] \
+    || fail "the re-run reported $MISSES store misses for 3 configs"
 
 [ -f "$WORK/kill/sweep.csv" ] || fail "resumed sweep.csv missing"
 

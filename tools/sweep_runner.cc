@@ -136,6 +136,9 @@ struct SweepConfig
     int attempts = 0;
     int signalDeaths = 0;
     int exitCode = -1;
+    /// This worker found the config missing from the store. A config
+    /// polled many times while a peer holds its lease counts once.
+    bool storeMissed = false;
 };
 
 struct RunnerOptions
@@ -768,6 +771,9 @@ chaosMaybeKill(const RunnerOptions &opts, const char *phase)
  * counters of this worker, and the per-config accounting (status,
  * attempts, signal deaths, exit code) of every config it ran a child
  * for. Store hits and configs finished by peers are not listed.
+ * `store_misses` counts configs, not lookups: the store counts every
+ * fetch, and a config whose lease a peer holds is looked up again on
+ * every poll round.
  */
 void
 writeFabricStats(const RunnerOptions &opts,
@@ -776,6 +782,9 @@ writeFabricStats(const RunnerOptions &opts,
                  uint64_t speculativeRuns,
                  const std::vector<SweepConfig> &configs)
 {
+    uint64_t misses = 0;
+    for (const SweepConfig &cfg : configs)
+        misses += cfg.storeMissed ? 1 : 0;
     JsonValue root = JsonValue::makeObject();
     root.set("format",
              JsonValue::makeString("texdist-fabric-stats"));
@@ -784,7 +793,7 @@ writeFabricStats(const RunnerOptions &opts,
     root.set("store_hits",
              JsonValue::makeNumber(double(store.stats().hits)));
     root.set("store_misses",
-             JsonValue::makeNumber(double(store.stats().misses)));
+             JsonValue::makeNumber(double(misses)));
     root.set("store_corrupt",
              JsonValue::makeNumber(double(store.stats().corrupt)));
     root.set("leases_stolen",
@@ -809,7 +818,7 @@ writeFabricStats(const RunnerOptions &opts,
         opts.outDir + "/fabric_stats." + opts.workerId + ".json";
     atomicWriteFile(path, root.dump());
     std::cout << "store: " << store.stats().hits << " hit(s), "
-              << store.stats().misses << " miss(es), "
+              << misses << " miss(es), "
               << store.stats().corrupt << " quarantined; stats in "
               << path << "\n";
 }
@@ -989,6 +998,7 @@ runSweep(const RunnerOptions &opts, std::vector<SweepConfig> &configs)
                     cfg.status = "done";
                     continue;
                 }
+                cfg.storeMissed = true;
                 warn("'", cfg.name, "' marked done but its CSV is "
                      "unusable and the store has no entry; "
                      "re-running");
@@ -1017,6 +1027,7 @@ runSweep(const RunnerOptions &opts, std::vector<SweepConfig> &configs)
                 progress = true;
                 continue;
             }
+            cfg.storeMissed = true;
             if (queue.tryClaim(cfg.name)) {
                 chaosMaybeKill(opts, "claim");
                 std::cout << "  " << cfg.name << ": claimed by "
