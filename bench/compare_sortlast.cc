@@ -55,11 +55,10 @@ main(int argc, char **argv)
             SortLastConfig sl;
             sl.node = paperConfig();
             sl.node.numProcs = procs;
-            sl.assign = SortLastAssign::RoundRobin;
-            SortLastResult rr = runSortLastFrame(scene, sl);
-            sl.assign = SortLastAssign::Chunked;
+            sl.chunkSize = 1;
+            FrameResult rr = runSortLastFrame(scene, sl).frame;
             sl.chunkSize = 8;
-            SortLastResult ch = runSortLastFrame(scene, sl);
+            FrameResult ch = runSortLastFrame(scene, sl).frame;
 
             table.cell(name);
             table.cell(sm_res.frame.texelToFragmentRatio, 3);
@@ -96,10 +95,8 @@ main(int argc, char **argv)
             SortLastConfig sl;
             sl.node = paperConfig();
             sl.node.numProcs = 64;
-            sl.assign = chunk == 1 ? SortLastAssign::RoundRobin
-                                   : SortLastAssign::Chunked;
             sl.chunkSize = chunk;
-            SortLastResult r = runSortLastFrame(scene, sl);
+            FrameResult r = runSortLastFrame(scene, sl).frame;
             table.cell(uint64_t(chunk));
             table.cell(r.texelToFragmentRatio, 3);
             table.cell(r.frameTime ? double(t1) / double(r.frameTime)

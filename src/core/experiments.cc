@@ -35,21 +35,6 @@ pixelWorkPerProc(const Scene &scene, const Distribution &dist)
     return work;
 }
 
-double
-imbalancePercent(const std::vector<uint64_t> &work)
-{
-    if (work.empty())
-        return 0.0;
-    uint64_t max = 0;
-    uint64_t sum = 0;
-    for (uint64_t w : work) {
-        max = std::max(max, w);
-        sum += w;
-    }
-    double mean = double(sum) / double(work.size());
-    return mean > 0.0 ? (double(max) - mean) / mean * 100.0 : 0.0;
-}
-
 FrameResult
 FrameLab::run(const MachineConfig &config) const
 {

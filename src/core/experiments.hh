@@ -33,9 +33,6 @@ namespace texdist
 std::vector<uint64_t> pixelWorkPerProc(const Scene &scene,
                                        const Distribution &dist);
 
-/** (max - mean) / mean in percent. */
-double imbalancePercent(const std::vector<uint64_t> &work);
-
 /**
  * Runs machine configurations against one scene and caches the
  * single-processor baseline times used as speedup denominators

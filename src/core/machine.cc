@@ -9,27 +9,86 @@
 namespace texdist
 {
 
-namespace
-{
-
-/** (max - mean) / mean in percent; 0 for empty or all-zero input. */
-template <typename T>
 double
-imbalancePct(const std::vector<T> &values)
+imbalancePercent(const std::vector<uint64_t> &work)
 {
-    if (values.empty())
+    if (work.empty())
         return 0.0;
-    double sum = 0.0;
-    double max = 0.0;
-    for (T v : values) {
-        sum += double(v);
-        max = std::max(max, double(v));
+    uint64_t max = 0;
+    uint64_t sum = 0;
+    for (uint64_t w : work) {
+        max = std::max(max, w);
+        sum += w;
     }
-    double mean = sum / double(values.size());
-    return mean > 0.0 ? (max - mean) / mean * 100.0 : 0.0;
+    double mean = double(sum) / double(work.size());
+    return mean > 0.0 ? (double(max) - mean) / mean * 100.0 : 0.0;
 }
 
-} // namespace
+FrameResult
+assembleFrameResult(const std::vector<std::unique_ptr<TextureNode>> &nodes,
+                    std::vector<NodeSnapshot> &snapshots,
+                    Tick frame_start, Tick frame_end)
+{
+    FrameResult out;
+    out.frameTime = frame_end - frame_start;
+    out.nodes.reserve(nodes.size());
+
+    std::vector<uint64_t> pixel_counts;
+    std::vector<uint64_t> finish_times;
+    double bus_util_sum = 0.0;
+    for (size_t i = 0; i < nodes.size(); ++i) {
+        const TextureNode &node = *nodes[i];
+        NodeSnapshot &snap = snapshots[i];
+        NodeResult nr;
+        nr.pixels = node.pixelsDrawn() - snap.pixels;
+        nr.triangles = node.trianglesReceived() - snap.triangles;
+        nr.finishTime = node.finishTime();
+        nr.cacheAccesses = node.cache().accesses() - snap.accesses;
+        nr.cacheMisses = node.cache().misses() - snap.misses;
+        nr.texelsFetched =
+            node.cache().texelsFetched() - snap.texelsFetched;
+        nr.stallCycles = node.stallCycles() - snap.stallCycles;
+        nr.idleCycles = node.idleCycles() - snap.idleCycles;
+        nr.setupBoundTriangles =
+            node.setupBoundTriangles() - snap.setupBound;
+        nr.setupWaitCycles = node.setupWaitCycles() - snap.setupWait;
+        nr.fifoMaxOccupancy = node.fifoMaxOccupancy();
+        if (node.bus() && out.frameTime > 0) {
+            // Utilization over the whole run so far is the best the
+            // bus model exposes; report it against total time.
+            nr.busUtilization = node.bus()->utilization(frame_end);
+        }
+
+        snap.pixels = node.pixelsDrawn();
+        snap.triangles = node.trianglesReceived();
+        snap.accesses = node.cache().accesses();
+        snap.misses = node.cache().misses();
+        snap.texelsFetched = node.cache().texelsFetched();
+        snap.stallCycles = node.stallCycles();
+        snap.idleCycles = node.idleCycles();
+        snap.setupBound = node.setupBoundTriangles();
+        snap.setupWait = node.setupWaitCycles();
+
+        out.totalPixels += nr.pixels;
+        out.totalTexelsFetched += nr.texelsFetched;
+        out.fifoMaxOccupancy =
+            std::max(out.fifoMaxOccupancy, nr.fifoMaxOccupancy);
+        bus_util_sum += nr.busUtilization;
+        pixel_counts.push_back(nr.pixels);
+        finish_times.push_back(std::max(nr.finishTime, frame_start) -
+                               frame_start);
+        out.nodes.push_back(nr);
+    }
+
+    out.texelToFragmentRatio =
+        out.totalPixels ? double(out.totalTexelsFetched) /
+                              double(out.totalPixels)
+                        : 0.0;
+    out.pixelImbalancePercent = imbalancePercent(pixel_counts);
+    out.timeImbalancePercent = imbalancePercent(finish_times);
+    out.meanBusUtilization = bus_util_sum / double(nodes.size());
+    return out;
+}
 
 ParallelMachine::ParallelMachine(const Scene &scene_,
                                  const MachineConfig &config)
@@ -286,55 +345,13 @@ ParallelMachine::run()
                       "(enable --watchdog-ticks for a diagnosed "
                       "failure)");
 
-    FrameResult out;
-    out.nodes.reserve(nodes.size());
-    out.trianglesDispatched = feeder_->trianglesDispatched();
-
-    std::vector<uint64_t> pixel_counts;
-    std::vector<Tick> finish_times;
-    double bus_util_sum = 0.0;
-
     Tick frame_time = 0;
     for (const auto &node : nodes)
         frame_time = std::max(frame_time, node->finishTime());
-    out.frameTime = frame_time;
+    std::vector<NodeSnapshot> fresh(nodes.size());
+    FrameResult out = assembleFrameResult(nodes, fresh, 0, frame_time);
 
-    for (const auto &node : nodes) {
-        NodeResult nr;
-        nr.pixels = node->pixelsDrawn();
-        nr.triangles = node->trianglesReceived();
-        nr.finishTime = node->finishTime();
-        nr.cacheAccesses = node->cache().accesses();
-        nr.cacheMisses = node->cache().misses();
-        nr.texelsFetched = node->cache().texelsFetched();
-        nr.stallCycles = node->stallCycles();
-        nr.idleCycles = node->idleCycles();
-        nr.setupBoundTriangles = node->setupBoundTriangles();
-        nr.setupWaitCycles = node->setupWaitCycles();
-        nr.fifoMaxOccupancy = node->fifoMaxOccupancy();
-        if (node->bus())
-            nr.busUtilization =
-                node->bus()->utilization(frame_time);
-
-        out.totalPixels += nr.pixels;
-        out.totalTexelsFetched += nr.texelsFetched;
-        out.fifoMaxOccupancy =
-            std::max(out.fifoMaxOccupancy, nr.fifoMaxOccupancy);
-        bus_util_sum += nr.busUtilization;
-
-        pixel_counts.push_back(nr.pixels);
-        finish_times.push_back(nr.finishTime);
-        out.nodes.push_back(nr);
-    }
-
-    out.texelToFragmentRatio =
-        out.totalPixels ? double(out.totalTexelsFetched) /
-                              double(out.totalPixels)
-                        : 0.0;
-    out.pixelImbalancePercent = imbalancePct(pixel_counts);
-    out.timeImbalancePercent = imbalancePct(finish_times);
-    out.meanBusUtilization = bus_util_sum / double(nodes.size());
-
+    out.trianglesDispatched = feeder_->trianglesDispatched();
     out.degraded = _degraded;
     out.failed = _failed;
     out.failureReason = _failureReason;

@@ -110,6 +110,43 @@ struct FrameResult
 };
 
 /**
+ * Per-node counter snapshot for delta accounting: a machine that
+ * runs frames back to back on persistent nodes keeps one per node;
+ * a single-shot machine passes zeroed snapshots.
+ */
+struct NodeSnapshot
+{
+    uint64_t pixels = 0;
+    uint64_t triangles = 0;
+    uint64_t accesses = 0;
+    uint64_t misses = 0;
+    uint64_t texelsFetched = 0;
+    uint64_t stallCycles = 0;
+    uint64_t idleCycles = 0;
+    uint64_t setupBound = 0;
+    uint64_t setupWait = 0;
+};
+
+/**
+ * Assemble one frame's NodeResult/FrameResult from its nodes — the
+ * single assembly path of every machine. Work and cycle counters
+ * are deltas against @p snapshots, which then advance to the nodes'
+ * current values; finishTime is the node's absolute finish tick and
+ * fifoMaxOccupancy its running maximum. frameTime is
+ * frame_end - frame_start, bus utilization is measured against
+ * frame_end (0 for a zero-length frame), and the time imbalance is
+ * over each node's finish relative to frame_start. Callers add the
+ * fields only they know (triangles dispatched, faults, failure).
+ */
+FrameResult
+assembleFrameResult(const std::vector<std::unique_ptr<TextureNode>> &nodes,
+                    std::vector<NodeSnapshot> &snapshots,
+                    Tick frame_start, Tick frame_end);
+
+/** (max - mean) / mean in percent; 0 for empty or all-zero input. */
+double imbalancePercent(const std::vector<uint64_t> &work);
+
+/**
  * One machine instance bound to one scene. Build, run() once, read
  * the result (the machine is single-shot; build a new one per
  * configuration, they are cheap relative to a frame).

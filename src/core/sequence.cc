@@ -8,27 +8,6 @@
 namespace texdist
 {
 
-namespace
-{
-
-template <typename T>
-double
-imbalancePct(const std::vector<T> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double sum = 0.0;
-    double max = 0.0;
-    for (T v : values) {
-        sum += double(v);
-        max = std::max(max, double(v));
-    }
-    double mean = sum / double(values.size());
-    return mean > 0.0 ? (max - mean) / mean * 100.0 : 0.0;
-}
-
-} // namespace
-
 SequenceMachine::SequenceMachine(const Scene &first_frame,
                                  const MachineConfig &config,
                                  uint32_t host_jobs)
@@ -111,69 +90,6 @@ SequenceMachine::checkFrame(const Scene &scene) const
                       " does not match the sequence screen size");
 }
 
-FrameResult
-SequenceMachine::assembleResult(Tick frame_end,
-                                const FrameEngineResult &eng)
-{
-    FrameResult out;
-    out.frameTime = frame_end - frameStart;
-    out.trianglesDispatched = eng.trianglesDispatched;
-
-    std::vector<uint64_t> pixel_counts;
-    double bus_util_sum = 0.0;
-    for (uint32_t i = 0; i < cfg.numProcs; ++i) {
-        const TextureNode &node = *nodes[i];
-        NodeSnapshot &snap = snapshots[i];
-        NodeResult nr;
-        nr.pixels = node.pixelsDrawn() - snap.pixels;
-        nr.triangles = node.trianglesReceived() - snap.triangles;
-        nr.finishTime = node.finishTime();
-        nr.cacheAccesses = node.cache().accesses() - snap.accesses;
-        nr.cacheMisses = node.cache().misses() - snap.misses;
-        nr.texelsFetched =
-            node.cache().texelsFetched() - snap.texelsFetched;
-        nr.stallCycles = node.stallCycles() - snap.stallCycles;
-        nr.idleCycles = node.idleCycles() - snap.idleCycles;
-        nr.setupBoundTriangles =
-            node.setupBoundTriangles() - snap.setupBound;
-        nr.setupWaitCycles =
-            node.setupWaitCycles() - snap.setupWait;
-        nr.fifoMaxOccupancy = node.fifoMaxOccupancy();
-        if (node.bus() && out.frameTime > 0) {
-            // Utilization over the whole run so far is the best the
-            // bus model exposes; report it against total time.
-            nr.busUtilization = node.bus()->utilization(frame_end);
-        }
-
-        snap.pixels = node.pixelsDrawn();
-        snap.triangles = node.trianglesReceived();
-        snap.accesses = node.cache().accesses();
-        snap.misses = node.cache().misses();
-        snap.texelsFetched = node.cache().texelsFetched();
-        snap.stallCycles = node.stallCycles();
-        snap.idleCycles = node.idleCycles();
-        snap.setupBound = node.setupBoundTriangles();
-        snap.setupWait = node.setupWaitCycles();
-
-        out.totalPixels += nr.pixels;
-        out.totalTexelsFetched += nr.texelsFetched;
-        out.fifoMaxOccupancy =
-            std::max(out.fifoMaxOccupancy, nr.fifoMaxOccupancy);
-        bus_util_sum += nr.busUtilization;
-        pixel_counts.push_back(nr.pixels);
-        out.nodes.push_back(nr);
-    }
-
-    out.texelToFragmentRatio =
-        out.totalPixels ? double(out.totalTexelsFetched) /
-                              double(out.totalPixels)
-                        : 0.0;
-    out.pixelImbalancePercent = imbalancePct(pixel_counts);
-    out.meanBusUtilization = bus_util_sum / double(nodes.size());
-    out.faultStats.injected = frameFaultsInjected;
-    return out;
-}
-
 // texlint: phase(serial) top-level per-frame driver; spawns the
 // engine's parallel phases but never runs inside one
 FrameResult
@@ -186,7 +102,10 @@ SequenceMachine::runFrame(const Scene &scene)
         engine->runFrame(scene, frameStart, actions);
 
     Tick frame_end = std::max(frameStart, eng.frameEnd);
-    FrameResult out = assembleResult(frame_end, eng);
+    FrameResult out =
+        assembleFrameResult(nodes, snapshots, frameStart, frame_end);
+    out.trianglesDispatched = eng.trianglesDispatched;
+    out.faultStats.injected = frameFaultsInjected;
 
     // A fault recovery action may land after the last node retires;
     // the next frame must still start at or after it.
@@ -207,7 +126,6 @@ SequenceMachine::runFrameFunctional(const Scene &scene)
     // From here on the machine's timing state no longer corresponds
     // to any exact detailed run; refuse to checkpoint it.
     _sampleTainted = true;
-    frameFaultsInjected = 0;
 
     FrameEngineResult eng = engine->runFrameFunctional(scene);
 
@@ -215,7 +133,9 @@ SequenceMachine::runFrameFunctional(const Scene &scene)
     // result's frameTime is 0 and the clock does not advance. The
     // work and cache deltas are exact (the caches saw the detailed
     // reference order).
-    FrameResult out = assembleResult(frameStart, eng);
+    FrameResult out =
+        assembleFrameResult(nodes, snapshots, frameStart, frameStart);
+    out.trianglesDispatched = eng.trianglesDispatched;
     out.estimated = true;
     ++_framesRun;
     return out;

@@ -137,29 +137,6 @@ class SequenceMachine
      */
     void requireExactState() const;
 
-    /**
-     * Assemble a FrameResult from per-node counter deltas against
-     * the snapshots, advancing the snapshots; shared by the detailed
-     * and functional paths (the functional path passes
-     * frame_end == frameStart so all timing fields are zero).
-     */
-    FrameResult assembleResult(Tick frame_end,
-                               const FrameEngineResult &eng);
-
-    /** Per-node counter snapshot for delta accounting. */
-    struct NodeSnapshot
-    {
-        uint64_t pixels = 0;
-        uint64_t triangles = 0;
-        uint64_t accesses = 0;
-        uint64_t misses = 0;
-        uint64_t texelsFetched = 0;
-        uint64_t stallCycles = 0;
-        uint64_t idleCycles = 0;
-        uint64_t setupBound = 0;
-        uint64_t setupWait = 0;
-    };
-
     MachineConfig cfg;
     // texlint: allow(checkpoint) clock only; restore rewinds it to
     // frameStart

@@ -9,13 +9,6 @@
 namespace texdist
 {
 
-const char *
-to_string(SortLastAssign assign)
-{
-    return assign == SortLastAssign::RoundRobin ? "round-robin"
-                                                : "chunked";
-}
-
 SortLastMachine::SortLastMachine(const Scene &scene_,
                                  const SortLastConfig &config)
     : scene(scene_), cfg(config)
@@ -23,22 +16,13 @@ SortLastMachine::SortLastMachine(const Scene &scene_,
     uint32_t procs = cfg.node.numProcs;
     if (procs == 0)
         texdist_fatal("sort-last machine needs at least one node");
-    if (cfg.assign == SortLastAssign::Chunked && cfg.chunkSize == 0)
+    if (cfg.chunkSize == 0)
         texdist_fatal("chunk size must be positive");
-
-    // Every node owns its whole triangle stream up front (the
-    // geometry stage is parallel in sort-last), so the FIFO just
-    // needs to be big enough to hold it.
-    MachineConfig node_cfg = cfg.node;
-    node_cfg.triangleBufferSize = uint32_t(
-        scene.triangles.size() / procs +
-        (cfg.assign == SortLastAssign::Chunked ? cfg.chunkSize : 1) +
-        8);
 
     nodes.reserve(procs);
     for (uint32_t i = 0; i < procs; ++i)
         nodes.push_back(std::make_unique<TextureNode>(
-            i, node_cfg, scene.textures, eq));
+            i, cfg.node, scene.textures, eq));
 }
 
 SortLastResult
@@ -51,14 +35,12 @@ SortLastMachine::run()
     uint32_t procs = cfg.node.numProcs;
     Rect screen = scene.screenRect();
 
-    // Deal the triangles and materialize each node's fragments.
+    // Every node owns its whole triangle stream from tick 0 (the
+    // geometry stage is parallel in sort-last), so each triangle
+    // starts as soon as its node is free: rasterize it and run it
+    // on its node directly, in triangle order.
+    std::vector<NodeFragment> frags;
     for (size_t t = 0; t < scene.triangles.size(); ++t) {
-        uint32_t target;
-        if (cfg.assign == SortLastAssign::RoundRobin)
-            target = uint32_t(t % procs);
-        else
-            target = uint32_t((t / cfg.chunkSize) % procs);
-
         const TexTriangle &tri = scene.triangles[t];
         const Texture &tex = scene.textures.get(tri.tex);
         TriangleRaster raster(tri, tex.width(), tex.height());
@@ -68,44 +50,21 @@ SortLastMachine::run()
         if (bbox.empty())
             continue;
 
-        TriangleWork work;
-        work.tex = tri.tex;
+        frags.clear();
         raster.rasterize(screen, [&](const Fragment &frag) {
-            work.frags.push_back(NodeFragment{
-                uint16_t(frag.x), uint16_t(frag.y), frag.u, frag.v,
-                frag.lod});
+            frags.push_back(NodeFragment{uint16_t(frag.x),
+                                         uint16_t(frag.y), frag.u,
+                                         frag.v, frag.lod});
         });
-        nodes[target]->enqueue(std::move(work));
+        nodes[(t / cfg.chunkSize) % procs]->consumeDirect(
+            0, tri.tex, frags.data(), frags.size());
     }
-
-    eq.run();
 
     SortLastResult out;
-    std::vector<uint64_t> pixel_counts;
-    for (const auto &node : nodes) {
-        out.renderTime =
-            std::max(out.renderTime, node->finishTime());
-    }
-    for (const auto &node : nodes) {
-        NodeResult nr;
-        nr.pixels = node->pixelsDrawn();
-        nr.triangles = node->trianglesReceived();
-        nr.finishTime = node->finishTime();
-        nr.cacheAccesses = node->cache().accesses();
-        nr.cacheMisses = node->cache().misses();
-        nr.texelsFetched = node->cache().texelsFetched();
-        nr.stallCycles = node->stallCycles();
-        nr.idleCycles = node->idleCycles();
-        nr.setupBoundTriangles = node->setupBoundTriangles();
-        nr.setupWaitCycles = node->setupWaitCycles();
-        if (node->bus())
-            nr.busUtilization =
-                node->bus()->utilization(out.renderTime);
-        out.totalPixels += nr.pixels;
-        out.totalTexelsFetched += nr.texelsFetched;
-        pixel_counts.push_back(nr.pixels);
-        out.nodes.push_back(nr);
-    }
+    for (const auto &node : nodes)
+        out.renderTime = std::max(out.renderTime, node->finishTime());
+    std::vector<NodeSnapshot> fresh(nodes.size());
+    out.frame = assembleFrameResult(nodes, fresh, 0, out.renderTime);
 
     // Pipelined binary-tree composition after the last node.
     if (cfg.compositePixelsPerCycle > 0.0 && procs > 1) {
@@ -114,22 +73,7 @@ SortLastMachine::run()
             std::ceil(stages * double(scene.screenArea()) /
                       cfg.compositePixelsPerCycle));
     }
-    out.frameTime = out.renderTime + out.compositionCycles;
-
-    out.texelToFragmentRatio =
-        out.totalPixels ? double(out.totalTexelsFetched) /
-                              double(out.totalPixels)
-                        : 0.0;
-    if (!pixel_counts.empty()) {
-        uint64_t max = 0, sum = 0;
-        for (uint64_t p : pixel_counts) {
-            max = std::max(max, p);
-            sum += p;
-        }
-        double mean = double(sum) / double(pixel_counts.size());
-        out.pixelImbalancePercent =
-            mean > 0.0 ? (double(max) - mean) / mean * 100.0 : 0.0;
-    }
+    out.frame.frameTime = out.renderTime + out.compositionCycles;
     return out;
 }
 

@@ -29,7 +29,11 @@
  *
  * The node pipeline (setup engine, scan, cache, bus, prefetch
  * queue) is the sort-middle TextureNode, reused unchanged; only the
- * work distribution and the composition model differ.
+ * work distribution and the composition model differ. With no
+ * feeder, FIFO coupling or faults, each node's result is a pure
+ * function of its triangle stream, so the machine drives its nodes
+ * directly (TextureNode::consumeDirect, in triangle order) instead
+ * of through an event queue.
  */
 
 #ifndef TEXDIST_CORE_SORTLAST_HH
@@ -43,15 +47,6 @@
 namespace texdist
 {
 
-/** How triangles are dealt to sort-last nodes. */
-enum class SortLastAssign
-{
-    RoundRobin, ///< triangle i -> node i mod P
-    Chunked,    ///< runs of chunkSize consecutive triangles
-};
-
-const char *to_string(SortLastAssign assign);
-
 /** Configuration of the sort-last machine. */
 struct SortLastConfig
 {
@@ -60,10 +55,12 @@ struct SortLastConfig
      * ignored. */
     MachineConfig node;
 
-    SortLastAssign assign = SortLastAssign::RoundRobin;
-
-    /** Consecutive triangles per node under Chunked assignment. */
-    uint32_t chunkSize = 32;
+    /**
+     * Triangles are dealt to nodes in runs of chunkSize consecutive
+     * triangles: run k goes to node k mod P. The default of 1 is
+     * round-robin over triangles.
+     */
+    uint32_t chunkSize = 1;
 
     /**
      * Composition network bandwidth in pixels per cycle per link;
@@ -76,17 +73,13 @@ struct SortLastConfig
     double compositePixelsPerCycle = 0.0;
 };
 
-/** Results of a sort-last frame (shares NodeResult with FrameResult). */
+/** Results of a sort-last frame. */
 struct SortLastResult
 {
-    Tick frameTime = 0;        ///< includes composition
-    Tick renderTime = 0;       ///< max node finish
+    /** The frame; its frameTime includes composition. */
+    FrameResult frame;
+    Tick renderTime = 0; ///< max node finish
     Tick compositionCycles = 0;
-    std::vector<NodeResult> nodes;
-    uint64_t totalPixels = 0;
-    uint64_t totalTexelsFetched = 0;
-    double texelToFragmentRatio = 0.0;
-    double pixelImbalancePercent = 0.0;
 };
 
 /**
@@ -107,7 +100,7 @@ class SortLastMachine
   private:
     const Scene &scene;
     SortLastConfig cfg;
-    EventQueue eq;
+    EventQueue eq; ///< clock the nodes bind to; never run
     std::vector<std::unique_ptr<TextureNode>> nodes;
     bool ran = false;
 };

@@ -57,27 +57,6 @@ OracleEngine::attachNode(TextureNode &node)
     shadows.push_back(shadow);
 }
 
-void
-OracleEngine::attach(SequenceMachine &machine)
-{
-    for (uint32_t i = 0; i < machine.numNodes(); ++i)
-        attachNode(machine.node(i));
-}
-
-void
-OracleEngine::attach(ParallelMachine &machine)
-{
-    for (uint32_t i = 0; i < machine.numNodes(); ++i)
-        attachNode(machine.node(i));
-}
-
-void
-OracleEngine::attach(SortLastMachine &machine)
-{
-    for (uint32_t i = 0; i < machine.numNodes(); ++i)
-        attachNode(machine.node(i));
-}
-
 bool
 OracleEngine::checksFrame(uint32_t frame) const
 {

@@ -43,8 +43,6 @@
 #include "core/coverage.hh"
 #include "core/machine.hh"
 #include "core/options.hh"
-#include "core/sequence.hh"
-#include "core/sortlast.hh"
 #include "oracle/shadow.hh"
 #include "scene/scene.hh"
 
@@ -69,13 +67,18 @@ class OracleEngine
     OracleEngine &operator=(const OracleEngine &) = delete;
 
     /**
-     * Attach to a machine's nodes: registers coverage sinks and (in
-     * full mode) wraps each set-associative cache in a shadow
-     * differential decorator. Call once, before the first frame.
+     * Attach to a machine's nodes (any machine with numNodes() and
+     * node(i)): registers coverage sinks and (in full mode) wraps
+     * each set-associative cache in a shadow differential
+     * decorator. Call once, before the first frame.
      */
-    void attach(SequenceMachine &machine);
-    void attach(ParallelMachine &machine);
-    void attach(SortLastMachine &machine);
+    template <typename Machine>
+    void
+    attach(Machine &machine)
+    {
+        for (uint32_t i = 0; i < machine.numNodes(); ++i)
+            attachNode(machine.node(i));
+    }
 
     OracleMode mode() const { return _mode; }
 

@@ -185,6 +185,7 @@ expectEnginesAgree(const Scene &scene, const MachineConfig &cfg,
     EXPECT_EQ(tp.totalPixels, ev.totalPixels) << what;
     EXPECT_EQ(tp.totalTexelsFetched, ev.totalTexelsFetched) << what;
     EXPECT_EQ(tp.trianglesDispatched, ev.trianglesDispatched) << what;
+    EXPECT_EQ(tp.timeImbalancePercent, ev.timeImbalancePercent) << what;
     ASSERT_EQ(tp.nodes.size(), ev.nodes.size()) << what;
     for (size_t n = 0; n < ev.nodes.size(); ++n) {
         const NodeResult &a = ev.nodes[n];

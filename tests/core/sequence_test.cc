@@ -1,5 +1,6 @@
 /** @file Tests for multi-frame sequence simulation. */
 
+#include <algorithm>
 #include <cmath>
 #include <ostream>
 #include <vector>
@@ -104,6 +105,27 @@ TEST(Sequence, DeltasSumToTotals)
     for (const FrameResult &f : seq.frames)
         sum += f.frameTime;
     EXPECT_EQ(sum, seq.totalTime);
+}
+
+TEST(Sequence, WarmPanFramesReportTimeImbalance)
+{
+    // The imbalance is over each node's finish relative to its own
+    // frame's start, not over the absolute finish ticks.
+    Scene scene = wallScene();
+    std::vector<Scene> frames;
+    for (int i = 0; i < 3; ++i)
+        frames.push_back(translateScene(scene, float(8 * i), 0.0f));
+    SequenceResult seq = runFrameSequence(frames, l2Config(16));
+
+    Tick start = 0;
+    for (const FrameResult &f : seq.frames) {
+        std::vector<uint64_t> relative;
+        for (const NodeResult &n : f.nodes)
+            relative.push_back(std::max(n.finishTime, start) - start);
+        EXPECT_EQ(f.timeImbalancePercent, imbalancePercent(relative));
+        start += f.frameTime;
+    }
+    EXPECT_GT(seq.frames[2].timeImbalancePercent, 0.0);
 }
 
 TEST(Sequence, PanCostsScaleWithDistanceUnderMultiprocessing)

@@ -263,7 +263,7 @@ relationOrganization(const Scene &scene, uint32_t procs)
     oracle.attach(machine);
     oracle.beginFrame(0, scene);
     SortLastResult slr = machine.run();
-    oracle.endFrame(0, scene, nullptr, nullptr, slr.frameTime);
+    oracle.endFrame(0, scene, nullptr, &slr.frame, slr.frame.frameTime);
     uint64_t c = oracle.lastCoverageDigest();
 
     std::vector<std::string> violations;
@@ -280,6 +280,9 @@ relationOrganization(const Scene &scene, uint32_t procs)
     if (a.result.totalPixels != b.result.totalPixels)
         violations.push_back(
             "block and SLI machines drew different fragment totals");
+    if (a.result.totalPixels != slr.frame.totalPixels)
+        violations.push_back("block and sort-last machines drew "
+                             "different fragment totals");
     if (!violations.empty())
         fail("organization", std::move(violations));
     std::cout << "organization: PASS (digest "
