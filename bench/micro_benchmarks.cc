@@ -1,8 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the simulator's hot paths:
- * rasterization, trilinear address generation (single and batched),
- * cache lookups (per texel and per fragment) and the event kernel. These guard the simulator's
+ * rasterization and interpolation, trilinear address generation
+ * (single and batched), cache lookups (per texel and per fragment)
+ * and the event kernel. These guard the simulator's
  * own throughput (frames are hundreds of millions of texel
  * accesses), not the paper's results.
  *
@@ -219,6 +220,51 @@ BENCHMARK(BM_RasterCoverageKernel)
     ->ReportAggregatesOnly(true);
 
 void
+BM_InterpolateRun(benchmark::State &state)
+{
+    // Perspective-correct interpolation of full 64-pixel coverage
+    // words, the unit rasterize() hands to interpolateRun(), pinned
+    // to one tier. The triangle recedes (1/w from 1 to 0.1), so the
+    // divide and the derivatives see varying w.
+    const auto kernel = simd::Kernel(uint8_t(state.range(0)));
+    if (!simd::forceKernel(kernel)) {
+        state.SkipWithError("kernel unsupported on this host");
+        return;
+    }
+    TexTriangle tri;
+    tri.v[0] = {0, 0, 1.0f, 0.0f, 0.0f};
+    tri.v[1] = {1024, 0, 0.1f, 1.0f, 0.0f};
+    tri.v[2] = {0, 1024, 0.4f, 0.0f, 1.0f};
+    TriangleRaster raster(tri, 256, 256);
+    constexpr int32_t rows = 256;
+    int32_t xs[64];
+    for (int32_t i = 0; i < 64; ++i)
+        xs[i] = 128 + i;
+    float u[64], v[64], lod[64], inv_w[64];
+    raster.interpolateRun(0, xs, 64, u, v, lod, inv_w); // warmup
+
+    for (auto _ : state) {
+        for (int32_t y = 0; y < rows; ++y) {
+            raster.interpolateRun(y, xs, 64, u, v, lod, inv_w);
+            benchmark::DoNotOptimize(u);
+            benchmark::DoNotOptimize(v);
+            benchmark::DoNotOptimize(lod);
+            benchmark::DoNotOptimize(inv_w);
+            benchmark::ClobberMemory();
+        }
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) * rows * 64);
+    state.SetLabel(simd::to_string(kernel));
+    simd::clearForcedKernel();
+}
+BENCHMARK(BM_InterpolateRun)
+    ->ArgNames({"kernel"})
+    ->Arg(0)
+    ->Arg(2)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
+
+void
 BM_CacheAccess(benchmark::State &state)
 {
     SetAssocCache cache(CacheGeometry{});
@@ -247,27 +293,38 @@ BENCHMARK(BM_CacheAccess)
 
 /**
  * One fragment's eight trilinear references per iteration, through
- * the TextureCache interface the nodes use. Arg 0 makes eight
- * access() calls, arg 1 one accessFragment() call; items are
- * fragments, so the two rows compare the cost per fragment.
+ * the TextureCache interface the nodes use. batched 0 makes eight
+ * access() calls, batched 1 one accessFragment() call; items are
+ * fragments, so the two rows compare the cost per fragment. The
+ * all_mru stream re-touches one fragment's four lines, each the MRU
+ * way of its own set, so every fragment after the first takes the
+ * store-free all-MRU path.
  */
 void
 BM_CacheAccessFragment(benchmark::State &state)
 {
     const bool batched = state.range(0) != 0;
-    // A 64x64-pixel window over a 256x256 texture in scanline order,
-    // minified by ~1.5: the coherent, mostly hitting stream of a
-    // textured wall.
-    Texture tex(0, 0, 256, 256);
-    constexpr int side = 64;
+    const bool all_mru = state.range(1) != 0;
     std::vector<uint64_t> addrs;
-    TexelRefs refs;
-    for (int y = 0; y < side; ++y) {
-        for (int x = 0; x < side; ++x) {
-            TrilinearSampler::generate(tex, float(x) * 1.5f / 256.0f,
-                                       float(y) * 1.5f / 256.0f,
-                                       0.58f, refs);
-            addrs.insert(addrs.end(), refs.begin(), refs.end());
+    if (all_mru) {
+        // Two texels in each of four consecutive lines (four sets).
+        for (uint64_t line = 0; line < 4; ++line)
+            for (uint64_t texel = 0; texel < 2; ++texel)
+                addrs.push_back(0x10000 + line * 64 + texel * 4);
+    } else {
+        // A 64x64-pixel window over a 256x256 texture in scanline
+        // order, minified by ~1.5: the coherent, mostly hitting
+        // stream of a textured wall.
+        Texture tex(0, 0, 256, 256);
+        constexpr int side = 64;
+        TexelRefs refs;
+        for (int y = 0; y < side; ++y) {
+            for (int x = 0; x < side; ++x) {
+                TrilinearSampler::generate(
+                    tex, float(x) * 1.5f / 256.0f,
+                    float(y) * 1.5f / 256.0f, 0.58f, refs);
+                addrs.insert(addrs.end(), refs.begin(), refs.end());
+            }
         }
     }
     const size_t frags = addrs.size() / texelsPerFragment;
@@ -294,9 +351,8 @@ BM_CacheAccessFragment(benchmark::State &state)
     state.SetLabel(batched ? "accessFragment" : "8x access");
 }
 BENCHMARK(BM_CacheAccessFragment)
-    ->ArgNames({"batched"})
-    ->Arg(0)
-    ->Arg(1)
+    ->ArgNames({"batched", "all_mru"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
     ->Repetitions(kRepetitions)
     ->ReportAggregatesOnly(true);
 

@@ -81,14 +81,16 @@ SetAssocCache::accessInline(uint64_t line, uint64_t &clock,
     uint64_t *set_tags = &tags[base];
     uint64_t *set_lru = &lruStamp[base];
 
-    // Fast path: one probe of the set's MRU way. A hit here updates
-    // exactly the state the associative scan would have (the LRU
-    // stamp of the hit way), so the shortcut is invisible to miss
-    // accounting, replacement and serialization.
+    // Fast path: one probe of the set's MRU way. That way already
+    // holds the set's largest stamp, and stamps are only compared
+    // within a set, so a hit on it changes no LRU decision and
+    // stores nothing. Armed, the planted bug still stamps here: its
+    // skipped scan-hit touches leave hints on ways that are not the
+    // newest, and its stream must stay that of a stamp-every-hit LRU.
     uint32_t mru = mruWay[set];
     if (set_tags[mru] == tag) {
         uint64_t stamp = ++clock;
-        if (!(Planted && plantedSkipThisHit()))
+        if (Planted && lruSkipPeriod != 0 && !plantedSkipThisHit())
             set_lru[mru] = stamp;
         slot = base + mru;
         return true;
@@ -146,35 +148,40 @@ SetAssocCache::missMask(const uint64_t *addrs, int n)
     uint64_t misses = _misses;
     _accesses += uint64_t(n);
 
+    int first = 0;
     if (n == 8) {
-        // Branch-free check that every reference hits its set's MRU
-        // way. Then the fragment changes nothing but eight stamps.
-        size_t slots[8];
-        bool all_mru = true;
+        // Branch-free check of which references hit their set's MRU
+        // way. If all do, the fragment changes nothing but the clock;
+        // otherwise the leading run of MRU hits changes nothing but
+        // the clock, and the scan starts after it.
+        uint32_t mru_hits = 0;
         for (int k = 0; k < 8; ++k) {
             const uint64_t line = addrs[k] >> lineShift;
             const uint32_t set = uint32_t(line & (sets - 1));
-            slots[k] = size_t(set) * geom.ways + mruWay[set];
-            all_mru &= tags[slots[k]] == (line >> setShift);
+            mru_hits |=
+                uint32_t(tags[size_t(set) * geom.ways + mruWay[set]] ==
+                         (line >> setShift))
+                << k;
         }
-        if (all_mru) {
-            for (int k = 0; k < 8; ++k)
-                lruStamp[slots[k]] = ++clock;
-            stampCounter = clock;
+        if (mru_hits == 0xff) {
+            stampCounter = clock + 8;
             return 0;
         }
+        first = std::countr_one(mru_hits);
+        clock += uint64_t(first);
     }
 
     uint64_t prev_line = 0;
-    size_t slot = 0;
-    for (int k = 0; k < n; ++k) {
+    for (int k = first; k < n; ++k) {
         const uint64_t line = addrs[k] >> lineShift;
-        if (k > 0 && line == prev_line) {
-            // The reference before left this line in `slot`.
-            lruStamp[slot] = ++clock;
+        if (k > first && line == prev_line) {
+            // The reference before left this line as its set's MRU
+            // way: a hit that only advances the clock.
+            ++clock;
             continue;
         }
         prev_line = line;
+        size_t slot;
         uint64_t old_tag;
         if (!accessInline<false>(line, clock, misses, slot, old_tag))
             mask |= 1u << k;
@@ -269,9 +276,17 @@ SetAssocCache::unserialize(CheckpointReader &r)
                          "checkpoint and machine")
             .in(r.path())
             .field("setassoc");
-    // The MRU hint is not checkpoint state: way 0 is as valid a
-    // first probe as any, and the hit/miss stream is unaffected.
-    std::fill(mruWay.begin(), mruWay.end(), 0u);
+    // The MRU hint is not checkpoint state, but MRU hits store no
+    // stamp, so it must name each set's newest way: rebuild it from
+    // the stamps.
+    for (uint32_t set = 0; set < sets; ++set) {
+        const uint64_t *set_lru = &lruStamp[size_t(set) * geom.ways];
+        uint32_t newest = 0;
+        for (uint32_t w = 1; w < geom.ways; ++w)
+            if (set_lru[w] > set_lru[newest])
+                newest = w;
+        mruWay[set] = newest;
+    }
 }
 
 void
@@ -337,8 +352,8 @@ SetAssocCache::invalidate(uint64_t line_addr)
             set_tags[w] = invalidTag;
             set_lru[w] = 0;
             // The MRU hint may still point at this way; that is safe
-            // (invalidTag never matches a real tag) and costs at most
-            // one extra compare on the next access.
+            // (invalidTag never matches a real tag, so the next access
+            // to the set scans and re-points the hint).
             return;
         }
     }

@@ -219,7 +219,10 @@ class SetAssocCache : public TextureCache
     }
     /** Global LRU clock; equals accesses() on an honest cache. */
     uint64_t stampClock() const { return stampCounter; }
-    /** Current MRU-hint way of @p set (always < numWays()). */
+    /**
+     * Current MRU way of @p set (always < numWays()): the set's
+     * newest valid way, or an invalidated one.
+     */
     uint32_t mruHint(uint32_t set) const { return mruWay[set]; }
 
     /**
@@ -276,18 +279,23 @@ class SetAssocCache : public TextureCache
     // texlint: allow(checkpoint) derived from geom in the constructor
     uint32_t setShift; ///< countr_zero(sets), hoisted off access()
     // tags[set * ways + way]; lruStamp parallel array. A global
-    // monotonic counter implements true LRU.
+    // monotonic counter implements true LRU: every fill and every hit
+    // outside the MRU way stamps ++clock. Stamps are only compared
+    // within a set, so the order they give, not their values, is the
+    // replacement state.
     std::vector<uint64_t> tags;
     std::vector<uint64_t> lruStamp;
     /**
-     * Most-recently-used way per set — a pure lookup accelerator.
-     * Texel streams revisit the same line in runs (the 8 refs of one
+     * Most-recently-used way per set. Invariant: it names the way
+     * holding the set's largest stamp, or an invalidated way (whose
+     * invalidTag never matches). A hit on it therefore needs no
+     * stamp store: it is already the newest line of its set. Texel
+     * streams revisit the same line in runs (the 8 refs of one
      * fragment straddle at most 4 lines), so one probe of the MRU
-     * way resolves most hits without the associative scan. Never
-     * serialized: any value is only a hint, and a wrong hint costs
-     * one extra compare, never a wrong result.
+     * way resolves most hits without the associative scan. Not
+     * serialized: unserialize() rebuilds it from the stamps.
      */
-    // texlint: allow(checkpoint) pure accelerator hint, reset on restore
+    // texlint: allow(checkpoint) derived from lruStamp, rebuilt on restore
     std::vector<uint32_t> mruWay;
     uint64_t stampCounter = 0;
     // texlint: allow(checkpoint) debug-only planted-bug knob, never set in sims

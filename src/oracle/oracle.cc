@@ -258,6 +258,25 @@ checkLevel(const SetAssocCache &cache, const std::string &what,
                 std::to_string(cache.mruHint(s)) + " out of range");
             continue;
         }
+        // MRU hits store no stamp, so the hint must name the set's
+        // newest valid way (or a way invalidated since it was named).
+        const uint32_t hint = cache.mruHint(s);
+        if (cache.lineValid(s, hint)) {
+            for (uint32_t w = 0; w < cache.numWays(); ++w) {
+                if (cache.lineValid(s, w) &&
+                    cache.lineStamp(s, w) > cache.lineStamp(s, hint)) {
+                    violations.push_back(
+                        "cache structure: " + what + " set " +
+                        std::to_string(s) + " MRU hint names way " +
+                        std::to_string(hint) + " (stamp " +
+                        std::to_string(cache.lineStamp(s, hint)) +
+                        ") but way " + std::to_string(w) +
+                        " is newer (stamp " +
+                        std::to_string(cache.lineStamp(s, w)) + ")");
+                    break;
+                }
+            }
+        }
         for (uint32_t w = 0; w < cache.numWays(); ++w) {
             if (!cache.lineValid(s, w))
                 continue;

@@ -32,8 +32,9 @@ subFloor(int64_t v)
 
 TriangleRaster::TriangleRaster(const TexTriangle &tri, uint32_t tex_w,
                                uint32_t tex_h)
-    : texW(float(tex_w)), texH(float(tex_h))
 {
+    planes.texW = float(tex_w);
+    planes.texH = float(tex_h);
     // Snapped vertex positions in subpixel units.
     int64_t xs[3], ys[3];
     int perm[3] = {0, 1, 2};
@@ -109,50 +110,20 @@ TriangleRaster::TriangleRaster(const TexTriangle &tri, uint32_t tex_w,
               area_px;
         base = f[0] - ddx * px[0] - ddy * py[0];
     };
-    plane(uw, uwBase, uwDx, uwDy);
-    plane(vw, vwBase, vwDx, vwDy);
-    plane(w, wBase, wDx, wDy);
+    plane(uw, planes.uwBase, planes.uwDx, planes.uwDy);
+    plane(vw, planes.vwBase, planes.vwDx, planes.vwDy);
+    plane(w, planes.wBase, planes.wDx, planes.wDy);
 }
 
 void
-TriangleRaster::interpolate(int32_t x, int32_t y, Fragment &frag) const
+TriangleRaster::interpolateRun(int32_t y, const int32_t *xs, int32_t n,
+                               float *u, float *v, float *lod,
+                               float *inv_w) const
 {
-    double px = x + 0.5;
-    double py = y + 0.5;
-
-    double cur_uw = uwBase + uwDx * px + uwDy * py;
-    double cur_vw = vwBase + vwDx * px + vwDy * py;
-    double cur_w = wBase + wDx * px + wDy * py;
-
-    if (cur_w <= 1e-12) {
-        // Should not happen for properly clipped input; degrade
-        // gracefully rather than emit NaNs.
-        frag.u = 0.0f;
-        frag.v = 0.0f;
-        frag.lod = 0.0f;
-        frag.invW = 0.0f;
+    if (simd::dispatch() == simd::Kernel::AVX2 &&
+        detail::interpolateRunAvx2(planes, y, xs, n, u, v, lod, inv_w))
         return;
-    }
-
-    frag.invW = float(cur_w);
-    double inv = 1.0 / cur_w;
-    frag.u = float(cur_uw * inv);
-    frag.v = float(cur_vw * inv);
-
-    // Analytic screen-space derivatives of u and v via the quotient
-    // rule: d(U/W) = (U' W - U W') / W^2.
-    double inv2 = inv * inv;
-    float dudx = float((uwDx * cur_w - cur_uw * wDx) * inv2);
-    float dvdx = float((vwDx * cur_w - cur_vw * wDx) * inv2);
-    float dudy = float((uwDy * cur_w - cur_uw * wDy) * inv2);
-    float dvdy = float((vwDy * cur_w - cur_vw * wDy) * inv2);
-
-    float sx = dudx * texW;
-    float tx = dvdx * texH;
-    float sy = dudy * texW;
-    float ty = dvdy * texH;
-    float rho2 = std::max(sx * sx + tx * tx, sy * sy + ty * ty);
-    frag.lod = rho2 > 0.0f ? 0.5f * std::log2(rho2) : -126.0f;
+    detail::interpolateRunScalar(planes, y, xs, n, u, v, lod, inv_w);
 }
 
 void

@@ -24,6 +24,7 @@
 #include <cstdint>
 
 #include "geom/rect.hh"
+#include "raster/raster_kernels.hh"
 #include "raster/triangle.hh"
 
 namespace texdist
@@ -68,10 +69,11 @@ class TriangleRaster
      * @p scissor, emitting fragments in raster order (y-major).
      *
      * Coverage is computed a span at a time into a bitmask by
-     * rowCoverage() (scalar or AVX2, bit-identical either way) and
-     * then walked bit by bit, so interpolate()/emit() run for
-     * exactly the covered pixels, in exactly the order the
-     * pixel-by-pixel loop produced.
+     * rowCoverage() (scalar or AVX2, bit-identical either way). Each
+     * 64-pixel word's covered pixels are interpolated in one
+     * interpolateRun() and then emitted, so interpolation runs for
+     * exactly the covered pixels and emit() sees them in exactly the
+     * order the pixel-by-pixel loop produced.
      *
      * @tparam Emit callable as emit(const Fragment &)
      */
@@ -87,8 +89,11 @@ class TriangleRaster
 
         Fragment frag;
         uint64_t bits[coverageWords];
+        int32_t xs[64];
+        float u[64], v[64], lod[64], inv_w[64];
         int32_t width = r.x1 - r.x0;
         for (int32_t y = r.y0; y < r.y1; ++y) {
+            frag.y = y;
             for (int32_t cx = 0; cx < width; cx += coverageSpan) {
                 int32_t n = width - cx < coverageSpan
                                 ? width - cx
@@ -96,19 +101,37 @@ class TriangleRaster
                 rowCoverage(y, r.x0 + cx, n, bits);
                 int32_t words = (n + 63) >> 6;
                 for (int32_t w = 0; w < words; ++w) {
-                    uint64_t m = bits[w];
-                    while (m) {
-                        int b = std::countr_zero(m);
-                        m &= m - 1;
-                        frag.x = r.x0 + cx + w * 64 + b;
-                        frag.y = y;
-                        interpolate(frag.x, frag.y, frag);
+                    const int32_t x_word = r.x0 + cx + w * 64;
+                    int32_t count = 0;
+                    for (uint64_t m = bits[w]; m; m &= m - 1)
+                        xs[count++] = x_word + std::countr_zero(m);
+                    if (count == 0)
+                        continue;
+                    interpolateRun(y, xs, count, u, v, lod, inv_w);
+                    for (int32_t i = 0; i < count; ++i) {
+                        frag.x = xs[i];
+                        frag.u = u[i];
+                        frag.v = v[i];
+                        frag.lod = lod[i];
+                        frag.invW = inv_w[i];
                         emit(frag);
                     }
                 }
             }
         }
     }
+
+    /**
+     * Perspective-correct u, v, level of detail and 1/w at the pixel
+     * centres (xs[i] + .5, y + .5) for i < n, whether covered or not.
+     * A pixel whose 1/w is at most 1e-12 (at or behind the eye
+     * plane) gets all four attributes +0.
+     * Dispatches to the AVX2 kernel when available; scalar and
+     * vector results are bit-identical.
+     */
+    void interpolateRun(int32_t y, const int32_t *xs, int32_t n,
+                        float *u, float *v, float *lod,
+                        float *inv_w) const;
 
     /** Number of covered pixels inside @p scissor. */
     int64_t countPixels(const Rect &scissor) const;
@@ -145,9 +168,6 @@ class TriangleRaster
     void rowCoverage(int32_t y, int32_t x0, int32_t n,
                      uint64_t *bits) const;
 
-    /** Perspective-correct attribute evaluation at a pixel centre. */
-    void interpolate(int32_t x, int32_t y, Fragment &frag) const;
-
     // Edge functions E(p) = A*px + B*py + C in subpixel units.
     int64_t edgeA[3];
     int64_t edgeB[3];
@@ -155,13 +175,7 @@ class TriangleRaster
     int64_t stepX[3]; ///< edge increment for one pixel step in x
     bool edgeAcceptsZero[3];
 
-    // Interpolation planes f(x, y) = base + x*dx + y*dy at pixel
-    // centres, for u/w, v/w and 1/w.
-    double uwBase, uwDx, uwDy;
-    double vwBase, vwDx, vwDy;
-    double wBase, wDx, wDy;
-
-    float texW, texH;
+    detail::InterpPlanes planes;
     Rect _bbox;
     double _areaPixels = 0.0;
     bool _degenerate = true;

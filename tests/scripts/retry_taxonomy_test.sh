@@ -168,8 +168,12 @@ elapsed=$(( $(now_ms) - t0 ))
 
 # --- Instant children: supervision adds no per-child floor. ---------
 # A child that only copies a canned result CSV exits in a few ms, and
-# the runner must reap it as soon as it exits: 20 of them finish in
-# well under half a second.
+# the runner must reap it as soon as it exits. The floor this guards
+# against is a sleeping wait: the former 50 ms child poll alone cost
+# 20 children 20 x 50 = 1000 ms, so the sweep must finish in less.
+# Everything else (20 forks, 20 store publications) takes ~100-150 ms
+# on an idle host and has been seen at ~650 ms under load, so a
+# tighter bound fails on load, not on a floor.
 "$SIM" --scene=quake --scale=0.125 --procs=4 \
     --result-csv="$WORK/canned.csv" > /dev/null \
     || fail "cannot produce the canned CSV"
@@ -185,8 +189,9 @@ t0=$(now_ms)
     --out="$WORK/instant" --worker-id=w0 > /dev/null
 [ $? -eq 0 ] || fail "instant sweep should succeed"
 elapsed=$(( $(now_ms) - t0 ))
-[ "$elapsed" -lt 500 ] \
-    || fail "20 instant children took ${elapsed} ms (want < 500)"
+floor_ms=$(( 20 * 50 ))
+[ "$elapsed" -lt "$floor_ms" ] \
+    || fail "20 instant children took ${elapsed} ms (want < ${floor_ms})"
 [ "$(wc -l < "$WORK/instant/sweep.csv")" -eq 21 ] \
     || fail "instant sweep.csv should hold a header and 20 rows"
 
