@@ -10,17 +10,18 @@
  * L2 only holds the texels of *its own* tiles — after the pan those
  * pixels belong to a different node.
  *
- * The experiment: render frame N through per-node L1+L2 hierarchies,
- * then render frame N+1 = frame N panned by d pixels with the caches
- * left warm, and report frame N+1's external texel-to-fragment
- * ratio per pan distance and tile size.
+ * The experiment: run frame N and then frame N+1 = frame N panned by
+ * d pixels as two functional frames of one SequenceMachine with
+ * per-node L1+L2 hierarchies (the caches stay warm in between), and
+ * report frame N+1's external texel-to-fragment ratio per pan
+ * distance and tile size.
  */
 
 #include <iostream>
 
 #include "bench_common.hh"
-#include "cache/two_level.hh"
 #include "core/interframe.hh"
+#include "core/sequence.hh"
 
 using namespace texdist;
 
@@ -33,11 +34,11 @@ main(int argc, char **argv)
               << opts.scale << ")\n";
 
     Scene frame1 = loadScene("quake", opts.scale);
-    auto make_cache = [] {
-        return std::make_unique<TwoLevelCache>(
-            CacheGeometry{16 * 1024, 4, 64},
-            CacheGeometry{2 * 1024 * 1024, 8, 64});
-    };
+    MachineConfig cfg;
+    cfg.dist = DistKind::Block;
+    cfg.cacheGeom = CacheGeometry{16 * 1024, 4, 64};
+    cfg.hasL2 = true;
+    cfg.l2Geom = CacheGeometry{2 * 1024 * 1024, 8, 64};
 
     const std::vector<int> pans = {0, 4, 8, 16, 32, 64, 128};
 
@@ -55,15 +56,21 @@ main(int argc, char **argv)
             for (int pan : pans) {
                 Scene frame2 =
                     translateScene(frame1, float(pan), 0.0f);
-                auto dist = Distribution::make(
-                    DistKind::Block, frame1.screenWidth,
-                    frame1.screenHeight, procs, width);
-                InterFrameResult r = interFrameTraffic(
-                    frame1, frame2, *dist, make_cache);
+                cfg.numProcs = procs;
+                cfg.tileParam = width;
+                SequenceMachine machine(frame1, cfg);
+                double f1 =
+                    machine.runFrameFunctional(frame1)
+                        .texelToFragmentRatio;
+                double f2 =
+                    machine.runFrameFunctional(frame2)
+                        .texelToFragmentRatio;
+                // < 1 means the warm caches reused frame 1's texels.
+                double reuse = f1 > 0.0 ? f2 / f1 : 0.0;
                 table.cell(uint64_t(pan));
-                table.cell(r.frame2Ratio, 4);
-                table.cell(r.reuseFactor(), 3);
-                table.cell(100.0 * (1.0 - r.reuseFactor()), 1);
+                table.cell(f2, 4);
+                table.cell(reuse, 3);
+                table.cell(100.0 * (1.0 - reuse), 1);
                 table.endRow();
             }
         }

@@ -21,7 +21,7 @@
  *      1  usage / configuration error (including CLI parse errors)
  *      2  frame failed (watchdog fail policy, unrecoverable fault)
  *      3  interrupted by SIGINT/SIGTERM (partial results flushed)
- *      4  audit violation (frame invariant broken)
+ *      4  retired (was the removed auditor's; never reused)
  *      5  replay divergence (digest mismatch against a manifest)
  *      6  malformed trace file
  *      7  malformed checkpoint
@@ -311,13 +311,12 @@ class IoError : public std::exception
 /**
  * An oracle invariant violation: the simulation produced state that
  * contradicts a conservation law, structural invariant or
- * metamorphic relation the model guarantees (src/oracle). Unlike an
- * audit warning this is typed and carries the frame / cycle / node
- * context of the first violation, so a supervisor can bisect a
- * sweep down to the exact frame that first went wrong. Header-only
- * like ParseError/FabricError: the oracle library, the simulator
- * driver and tools/texmeta all throw and catch it without link
- * coupling.
+ * metamorphic relation the model guarantees (src/oracle). It
+ * carries the frame / cycle / node context of the first violation,
+ * so a supervisor can bisect a sweep down to the exact frame that
+ * first went wrong. Header-only like ParseError/FabricError: the
+ * oracle library, tools/texdist_sim and tools/texmeta all throw and
+ * catch it without link coupling.
  */
 class OracleError : public std::exception
 {

@@ -169,16 +169,12 @@ TwoPhaseFrameEngine::fifoHighWater(const Lane &lane)
     return hw;
 }
 
-// texlint: phase(serial) the phase orchestrator itself: it may write
-// anything, and must never be re-entered from inside a task
-FrameEngineResult
-TwoPhaseFrameEngine::runFrame(
-    const Scene &scene, Tick frame_start,
-    const std::vector<EngineFaultAction> &actions)
+// texlint: phase(serial) frame prologue of both orchestrators: it
+// resets every task's scratch, then submits phase 0
+void
+TwoPhaseFrameEngine::rasterizeFrame(const Scene &scene)
 {
     const size_t ntris = scene.triangles.size();
-    const uint32_t nprocs = uint32_t(nodes.size());
-
     slots.assign(ntris, TriSlot{});
     for (WorkerCtx &w : workers) {
         w.arena.reset();
@@ -191,6 +187,25 @@ TwoPhaseFrameEngine::runFrame(
         lane.actions.clear();
         lane.nextAction = 0;
     }
+
+    // --- Phase 0: rasterize and bucket every triangle (parallel).
+    pool.parallelFor(ntris, [&](uint32_t worker, size_t t) {
+        rasterizeOne(scene, worker, t);
+    });
+}
+
+// texlint: phase(serial) the phase orchestrator itself: it may write
+// anything, and must never be re-entered from inside a task
+FrameEngineResult
+TwoPhaseFrameEngine::runFrame(
+    const Scene &scene, Tick frame_start,
+    const std::vector<EngineFaultAction> &actions)
+{
+    const size_t ntris = scene.triangles.size();
+    const uint32_t nprocs = uint32_t(nodes.size());
+
+    rasterizeFrame(scene);
+
     for (const EngineFaultAction &action : actions) {
         if (action.victim >= nprocs)
             texdist_panic("fault action victim ", action.victim,
@@ -202,11 +217,6 @@ TwoPhaseFrameEngine::runFrame(
             lane.actions.begin(), lane.actions.end(),
             [](const EngineFaultAction *a,
                const EngineFaultAction *b) { return a->at < b->at; });
-
-    // --- Phase 0: rasterize and bucket every triangle (parallel).
-    pool.parallelFor(ntris, [&](uint32_t worker, size_t t) {
-        rasterizeOne(scene, worker, t);
-    });
 
     // --- Phase 1: serial replay of the feeder's timing. This is
     // GeometryFeeder::dispatchLoop with the rasterization already
@@ -339,24 +349,9 @@ TwoPhaseFrameEngine::runFrameFunctional(const Scene &scene)
     const size_t ntris = scene.triangles.size();
     const uint32_t nprocs = uint32_t(nodes.size());
 
-    slots.assign(ntris, TriSlot{});
-    for (WorkerCtx &w : workers) {
-        w.arena.reset();
-        w.entries.clear();
-    }
-    for (Lane &lane : lanes) {
-        lane.stream.clear();
-        lane.starts.clear();
-        lane.next = 0;
-        lane.actions.clear();
-        lane.nextAction = 0;
-    }
-
     // Phase 0 is identical to the detailed frame: rasterization has
     // no timing inputs.
-    pool.parallelFor(ntris, [&](uint32_t worker, size_t t) {
-        rasterizeOne(scene, worker, t);
-    });
+    rasterizeFrame(scene);
 
     // Materialize each node's stream in triangle order — the same
     // per-node order phase 1 would produce, minus the push ticks,

@@ -188,6 +188,11 @@ class TwoPhaseFrameEngine
         size_t pending() const { return stream.size() - next; }
     };
 
+    /**
+     * Frame prologue shared by runFrame and runFrameFunctional:
+     * reset the slots, arenas and lanes, then run phase 0.
+     */
+    void rasterizeFrame(const Scene &scene);
     void rasterizeOne(const Scene &scene, uint32_t worker,
                       size_t tri);
     Tick consumeOne(Lane &lane, TextureNode &node);

@@ -5,21 +5,15 @@
  * "The user often translates the viewpoint between frames. If this
  * translation was greater than the tile size, the L2 would reload
  * different textures in the next frame and the efficiency would be
- * reduced." This module provides the pieces to run that experiment:
- * derive frame N+1 from frame N by a screen-space camera pan (the
- * textures stay attached to the geometry, so the same texels appear
- * at shifted pixels), then measure each node's external traffic on
- * the second frame with caches left warm from the first.
+ * reduced." The experiment derives frame N+1 from frame N by a
+ * screen-space camera pan (the textures stay attached to the
+ * geometry, so the same texels appear at shifted pixels) and renders
+ * both on one SequenceMachine, whose caches stay warm in between.
  */
 
 #ifndef TEXDIST_CORE_INTERFRAME_HH
 #define TEXDIST_CORE_INTERFRAME_HH
 
-#include <functional>
-#include <memory>
-
-#include "cache/cache.hh"
-#include "core/distribution.hh"
 #include "scene/scene.hh"
 
 namespace texdist
@@ -33,33 +27,6 @@ namespace texdist
  * texture set is cloned at identical addresses.
  */
 Scene translateScene(const Scene &scene, float dx, float dy);
-
-/** Per-frame external traffic of a warm-cache two-frame run. */
-struct InterFrameResult
-{
-    double frame1Ratio = 0.0; ///< texels fetched / fragment, frame 1
-    double frame2Ratio = 0.0; ///< same for frame 2 with warm caches
-    uint64_t frame1Fragments = 0;
-    uint64_t frame2Fragments = 0;
-
-    /** frame2Ratio / frame1Ratio: < 1 means inter-frame reuse. */
-    double
-    reuseFactor() const
-    {
-        return frame1Ratio > 0.0 ? frame2Ratio / frame1Ratio : 0.0;
-    }
-};
-
-/**
- * Functional (untimed) two-frame cache simulation: each node owns a
- * cache from @p make_cache; frame 1 is rendered through the caches,
- * then frame 2 without resetting them. Both frames must share the
- * distribution's screen size and a common texture address space.
- */
-InterFrameResult interFrameTraffic(
-    const Scene &frame1, const Scene &frame2,
-    const Distribution &dist,
-    const std::function<std::unique_ptr<TextureCache>()> &make_cache);
 
 } // namespace texdist
 

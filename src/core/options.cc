@@ -308,11 +308,11 @@ SimOptions::usage()
         "                        then skip F frames outright. Only\n"
         "                        detailed frames produce timing "
         "stats,\n"
-        "                        digests and CSV rows; needs "
-        "--frames>1\n"
-        "                        and excludes checkpoint/restore,\n"
-        "                        manifest, replay-verify and the "
-        "oracle\n"
+        "                        digests, CSV rows and oracle "
+        "checks;\n"
+        "                        needs --frames>1 and excludes\n"
+        "                        checkpoint/restore, manifest and\n"
+        "                        replay-verify\n"
         "\n"
         "multi-frame, checkpointing and replay "
         "(see docs/ROBUSTNESS.md):\n"
@@ -338,21 +338,16 @@ SimOptions::usage()
         "                        re-execute the run in the manifest "
         "and\n"
         "                        fail on the first diverging frame\n"
-        "  --audit               check frame invariants (fragment\n"
-        "                        conservation, pixel coverage, "
-        "cache\n"
-        "                        accounting) after every frame\n"
         "  --oracle=off|cheap|full\n"
         "                        online invariant oracle "
         "(docs/ROBUSTNESS.md):\n"
-        "                        per-pixel coverage, texel "
-        "conservation\n"
-        "                        and cache-structural checks; cheap "
-        "=\n"
-        "                        sampled frames, full = every frame "
-        "plus\n"
-        "                        shadow differential caches "
-        "(default off)\n"
+        "                        per-pixel coverage, texel and "
+        "fragment\n"
+        "                        conservation and cache-structural\n"
+        "                        checks on every frame; full adds "
+        "shadow\n"
+        "                        differential caches (default "
+        "off)\n"
         "\n"
         "output:\n"
         "  --stats-file=<path>   write per-component statistics\n"
@@ -361,8 +356,7 @@ SimOptions::usage()
         "  --help                this text\n"
         "\n"
         "exit codes: 0 ok, 1 usage/config error, 2 frame failed,\n"
-        "            3 interrupted (SIGINT/SIGTERM), 4 audit "
-        "violation,\n"
+        "            3 interrupted (SIGINT/SIGTERM), 4 retired,\n"
         "            5 replay divergence, 6 malformed trace,\n"
         "            7 malformed checkpoint, 8 malformed JSON,\n"
         "            9 malformed result CSV, 13 oracle violation,\n"
@@ -533,8 +527,6 @@ SimOptions::parse(const std::vector<std::string> &args)
             opts.manifestPath = v;
         } else if (match(arg, "replay-verify", v)) {
             opts.replayVerifyPath = v;
-        } else if (arg == "--audit") {
-            opts.audit = true;
         } else if (match(arg, "oracle", v)) {
             opts.oracle = oracleModeFromString(v);
         } else if (match(arg, "sample", v)) {
@@ -573,8 +565,6 @@ SimOptions::parse(const std::vector<std::string> &args)
             sampleClash("--manifest");
         if (!opts.replayVerifyPath.empty())
             sampleClash("--replay-verify");
-        if (opts.oracle != OracleMode::Off)
-            sampleClash("--oracle");
         if (opts.frames <= 1)
             throw ParseError(ParseSurface::Cli, ParseRule::Mismatch,
                              "--sample needs a multi-frame run "

@@ -52,8 +52,8 @@ uint32_t parseHostThreads(const std::string &value, const char *flag);
 enum class OracleMode
 {
     Off,   ///< no oracle (the default)
-    Cheap, ///< coverage/conservation/structural checks, sampled frames
-    Full,  ///< every frame, plus the shadow differential caches
+    Cheap, ///< coverage/conservation/structural checks, every frame
+    Full,  ///< cheap plus the shadow differential caches
 };
 
 /** Parse "off" / "cheap" / "full" for `--oracle=`. */
@@ -160,17 +160,15 @@ struct SimOptions
     /** Re-execute the run recorded in this manifest and verify. */
     std::string replayVerifyPath;
 
-    /** Check frame invariants after every frame. */
-    bool audit = false;
-
     /** Online invariant oracle level (`--oracle=off|cheap|full`). */
     OracleMode oracle = OracleMode::Off;
 
     /**
      * Sampled fast-forward plan (`--sample=warm:W,detail:D[,ff:F]`);
-     * disabled by default. Incompatible with checkpointing, replay,
-     * manifests and the oracle — those all need every frame's exact
-     * state, which a sampled run deliberately does not compute.
+     * disabled by default. Incompatible with checkpointing, replay
+     * and manifests — those all need every frame's exact state,
+     * which a sampled run deliberately does not compute. The oracle
+     * checks the detailed frames.
      */
     SampleSpec sample;
 

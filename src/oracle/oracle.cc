@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/audit.hh"
 #include "core/error.hh"
 #include "raster/raster.hh"
 #include "texture/sampler.hh"
@@ -57,33 +56,12 @@ OracleEngine::attachNode(TextureNode &node)
     shadows.push_back(shadow);
 }
 
-bool
-OracleEngine::checksFrame(uint32_t frame) const
-{
-    switch (_mode) {
-      case OracleMode::Off:
-        return false;
-      case OracleMode::Cheap:
-        // Sampled: the first frame (cold caches, the common source
-        // of structural bugs) and every fourth after it.
-        return frame % 4 == 0;
-      case OracleMode::Full:
-        return true;
-    }
-    return false;
-}
-
 void
-OracleEngine::beginFrame(uint32_t frame, const Scene &scene)
+OracleEngine::beginFrame(const Scene &scene)
 {
     if (_mode == OracleMode::Off)
         return;
-    checkingThisFrame = checksFrame(frame);
-    if (!checkingThisFrame) {
-        for (TextureNode *node : nodes)
-            node->setCoverageSink(nullptr);
-        return;
-    }
+    armed = true;
 
     if (!coverage || coverage->width() != scene.screenWidth ||
         coverage->height() != scene.screenHeight)
@@ -114,7 +92,7 @@ OracleEngine::realCache(const TextureNode &node)
     return c;
 }
 
-void
+std::vector<uint32_t>
 OracleEngine::checkCoverage(const Scene &scene,
                             std::vector<std::string> &violations)
 {
@@ -128,12 +106,10 @@ OracleEngine::checkCoverage(const Scene &scene,
     Rect screen = scene.screenRect();
     for (const TexTriangle &tri : scene.triangles) {
         const Texture &tex = scene.textures.get(tri.tex);
-        TriangleRaster raster(tri, tex.width(), tex.height());
-        if (raster.degenerate())
-            continue;
-        raster.rasterize(screen, [&](const Fragment &frag) {
-            ++expected[size_t(frag.y) * w + size_t(frag.x)];
-        });
+        TriangleRaster(tri, tex.width(), tex.height())
+            .forEachCovered(screen, [&](int32_t x, int32_t y) {
+                ++expected[size_t(y) * w + size_t(x)];
+            });
     }
 
     if (coverage->outOfBounds() > 0)
@@ -162,6 +138,112 @@ OracleEngine::checkCoverage(const Scene &scene,
         violations.push_back("coverage: " +
                              std::to_string(mismatched) +
                              " mismatched pixel(s) in total");
+    return expected;
+}
+
+void
+OracleEngine::checkLedger(const Distribution &dist,
+                          const std::vector<uint32_t> &expected,
+                          const FrameResult &result,
+                          std::vector<std::string> &violations,
+                          int32_t &first_node)
+{
+    auto flag = [&](size_t i) {
+        if (first_node < 0)
+            first_node = int32_t(i);
+    };
+
+    // Totals must be the sums of the per-node results they were
+    // derived from.
+    uint64_t pixels = 0;
+    uint64_t texels = 0;
+    Tick max_finish = 0;
+    for (const NodeResult &nr : result.nodes) {
+        pixels += nr.pixels;
+        texels += nr.texelsFetched;
+        max_finish = std::max(max_finish, nr.finishTime);
+    }
+    if (pixels != result.totalPixels)
+        violations.push_back(
+            "fragment conservation: node pixel counts sum to " +
+            std::to_string(pixels) + " but totalPixels is " +
+            std::to_string(result.totalPixels));
+    if (texels != result.totalTexelsFetched)
+        violations.push_back(
+            "texel conservation: node texel counts sum to " +
+            std::to_string(texels) + " but totalTexelsFetched is " +
+            std::to_string(result.totalTexelsFetched));
+
+    // Each pixel's reference fragments belong to the node that owns
+    // it. When a frame degraded, fragments were rerouted between
+    // nodes, so only the total is conserved.
+    const std::vector<uint16_t> &owners = dist.ownerMap();
+    std::vector<uint64_t> owned(dist.numProcs(), 0);
+    uint64_t expected_total = 0;
+    for (size_t px = 0; px < expected.size(); ++px) {
+        owned[owners[px]] += expected[px];
+        expected_total += expected[px];
+    }
+    if (expected_total != result.totalPixels)
+        violations.push_back(
+            "pixel coverage: scene rasterizes to " +
+            std::to_string(expected_total) +
+            " fragments but the frame drew " +
+            std::to_string(result.totalPixels));
+    if (!result.degraded && owned.size() == result.nodes.size()) {
+        for (size_t i = 0; i < owned.size(); ++i) {
+            if (owned[i] == result.nodes[i].pixels)
+                continue;
+            violations.push_back(
+                "pixel coverage: " + nodeLabel(i) + " owns " +
+                std::to_string(owned[i]) + " fragments but drew " +
+                std::to_string(result.nodes[i].pixels));
+            flag(i);
+        }
+    }
+
+    // Every fragment makes exactly texelsPerFragment trilinear
+    // references; the perfect cache is bypassed entirely.
+    for (size_t i = 0; i < result.nodes.size(); ++i) {
+        const NodeResult &nr = result.nodes[i];
+        if (nr.cacheMisses > nr.cacheAccesses) {
+            violations.push_back(
+                "cache accounting: " + nodeLabel(i) + " has " +
+                std::to_string(nr.cacheMisses) + " misses but only " +
+                std::to_string(nr.cacheAccesses) + " accesses");
+            flag(i);
+        }
+        uint64_t want_accesses =
+            cfg.cacheKind == CacheKind::Perfect
+                ? 0
+                : nr.pixels * uint64_t(texelsPerFragment);
+        if (nr.cacheAccesses != want_accesses) {
+            violations.push_back(
+                "cache accounting: " + nodeLabel(i) + " drew " +
+                std::to_string(nr.pixels) + " fragments but made " +
+                std::to_string(nr.cacheAccesses) +
+                " cache accesses (expected " +
+                std::to_string(want_accesses) + ")");
+            flag(i);
+        }
+    }
+
+    // Redistribution after a kill may legally overfill survivors.
+    if (!result.degraded &&
+        result.fifoMaxOccupancy > cfg.triangleBufferSize)
+        violations.push_back(
+            "fifo bound: max occupancy " +
+            std::to_string(result.fifoMaxOccupancy) +
+            " exceeds the configured " +
+            std::to_string(cfg.triangleBufferSize) + "-entry buffer");
+
+    // Frame time is the last node's finish relative to the frame
+    // start; nodes that did nothing report finish 0.
+    if (max_finish > 0 && result.frameTime > max_finish)
+        violations.push_back(
+            "frame time " + std::to_string(result.frameTime) +
+            " exceeds the latest node finish " +
+            std::to_string(max_finish));
 }
 
 void
@@ -383,8 +465,9 @@ OracleEngine::endFrame(uint32_t frame, const Scene &scene,
                        const Distribution *dist,
                        const FrameResult *result, uint64_t end_cycle)
 {
-    if (_mode == OracleMode::Off || !checkingThisFrame)
+    if (!armed)
         return;
+    armed = false;
     // Watchdog-failed frames were cut short mid-work by design:
     // nothing is conserved, and the driver reports the failure
     // through its own exit code.
@@ -394,17 +477,13 @@ OracleEngine::endFrame(uint32_t frame, const Scene &scene,
     std::vector<std::string> violations;
     int32_t first_node = -1;
 
-    checkCoverage(scene, violations);
+    std::vector<uint32_t> expected = checkCoverage(scene, violations);
     _lastDigest = coverage->digest();
 
     if (result) {
-        if (dist) {
-            AuditReport audit =
-                auditFrame(scene, *dist, cfg, *result);
-            violations.insert(violations.end(),
-                              audit.violations.begin(),
-                              audit.violations.end());
-        }
+        if (dist)
+            checkLedger(*dist, expected, *result, violations,
+                        first_node);
         checkConservation(*result, violations, first_node);
     }
 

@@ -19,18 +19,22 @@
  *    the caches requested (per-level for two-level hierarchies);
  *  - queue occupancy conservation: triangle FIFOs drained at frame
  *    end and never exceeded their bound;
+ *  - the frame ledger (when the machine has a screen distribution):
+ *    node counters sum to the frame totals, each node drew exactly
+ *    the fragments of the pixels it owns, and the frame time is the
+ *    last node's finish;
  *  - cache-structural sanity: distinct tags per set, LRU stamps
  *    consistent with the access clock, and L1 ⊆ L2 inclusion when
  *    the configuration promises it;
  *  - (full mode) per-access shadow differential: every cache verdict
  *    cross-checked against a trivially-correct reference LRU model.
  *
- * Cheap mode runs the frame-boundary checks on sampled frames; full
- * mode checks every frame and adds the shadows. The oracle is a
- * host-side observer like `--jobs`: simulated timing, results,
- * digests and checkpoints are bit-identical with it on or off.
- * Violations throw OracleError (exit code 13) carrying frame, node
- * and cycle context.
+ * Both modes run the frame-boundary checks on every frame the caller
+ * brackets with beginFrame/endFrame; full mode adds the shadows. The
+ * oracle is a host-side observer like `--jobs`: simulated timing,
+ * results, digests and checkpoints are bit-identical with it on or
+ * off. Violations throw OracleError (exit code 13) carrying frame,
+ * node and cycle context.
  */
 
 #ifndef TEXDIST_ORACLE_ORACLE_HH
@@ -82,21 +86,21 @@ class OracleEngine
 
     OracleMode mode() const { return _mode; }
 
-    /** True when frame @p frame gets the boundary checks. */
-    bool checksFrame(uint32_t frame) const;
-
     /**
      * Arm the oracle for one frame: resets and connects the coverage
-     * map when this frame is checked, disconnects it otherwise.
+     * map and snapshots the buses. Frames run without it (sampled
+     * warm-up) are not checked.
      */
-    void beginFrame(uint32_t frame, const Scene &scene);
+    void beginFrame(const Scene &scene);
 
     /**
-     * Run the frame-boundary checks; throws OracleError (exit 13)
-     * on any violation.
+     * Run the frame-boundary checks of the frame armed by
+     * beginFrame; throws OracleError (exit 13) on any violation.
      *
-     * @param dist owner map for the per-node expected-work checks;
-     *        null skips them (sort-last has no screen distribution)
+     * @param dist owner map of @p scene's screen for the
+     *        frame-ledger checks; null skips them (sort-last has no
+     *        screen distribution, and its frame time includes
+     *        composition)
      * @param result frame measurements; null runs the coverage and
      *        structural checks only
      * @param end_cycle absolute tick of the frame end, for error
@@ -129,8 +133,17 @@ class OracleEngine
     /** The node's cache with any shadow decorator peeled off. */
     static const TextureCache &realCache(const TextureNode &node);
 
-    void checkCoverage(const Scene &scene,
-                       std::vector<std::string> &violations);
+    /**
+     * Compare the drawn coverage map with a reference rasterization
+     * of @p scene; returns the reference's per-pixel fragment counts.
+     */
+    std::vector<uint32_t> checkCoverage(
+        const Scene &scene, std::vector<std::string> &violations);
+    void checkLedger(const Distribution &dist,
+                     const std::vector<uint32_t> &expected,
+                     const FrameResult &result,
+                     std::vector<std::string> &violations,
+                     int32_t &first_node);
     void checkConservation(const FrameResult &result,
                            std::vector<std::string> &violations,
                            int32_t &first_node);
@@ -143,7 +156,7 @@ class OracleEngine
     std::vector<ShadowedCache *> shadows; ///< parallel to nodes; may be null
     std::unique_ptr<FrameCoverage> coverage;
     std::vector<BusSnapshot> busAtFrameStart;
-    bool checkingThisFrame = false;
+    bool armed = false; ///< beginFrame ran; endFrame disarms
     uint64_t _lastDigest = 0;
 };
 

@@ -20,6 +20,7 @@
 #ifndef TEXDIST_RASTER_RASTER_HH
 #define TEXDIST_RASTER_RASTER_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -132,6 +133,35 @@ class TriangleRaster
     void interpolateRun(int32_t y, const int32_t *xs, int32_t n,
                         float *u, float *v, float *lod,
                         float *inv_w) const;
+
+    /**
+     * Call fn(x, y) for every covered pixel inside @p scissor, by
+     * rasterize()'s coverage test and in its order, without
+     * interpolating any attribute.
+     */
+    template <typename Fn>
+    void
+    forEachCovered(const Rect &scissor, Fn &&fn) const
+    {
+        if (_degenerate)
+            return;
+        Rect r = _bbox.intersect(scissor);
+        if (r.empty())
+            return;
+
+        uint64_t bits[coverageWords];
+        int32_t width = r.x1 - r.x0;
+        for (int32_t y = r.y0; y < r.y1; ++y) {
+            for (int32_t cx = 0; cx < width; cx += coverageSpan) {
+                int32_t n = std::min(width - cx, coverageSpan);
+                rowCoverage(y, r.x0 + cx, n, bits);
+                for (int32_t w = 0; w < (n + 63) >> 6; ++w)
+                    for (uint64_t m = bits[w]; m; m &= m - 1)
+                        fn(r.x0 + cx + w * 64 + std::countr_zero(m),
+                           y);
+            }
+        }
+    }
 
     /** Number of covered pixels inside @p scissor. */
     int64_t countPixels(const Rect &scissor) const;

@@ -444,7 +444,7 @@ runFrameWithOracle(const Scene &scene, const MachineConfig &cfg,
     ParallelMachine machine(scene, cfg);
     OracleEngine oracle(cfg, mode);
     oracle.attach(machine);
-    oracle.beginFrame(0, scene);
+    oracle.beginFrame(scene);
     FrameResult r = machine.run();
     oracle.endFrame(0, scene, &machine.distribution(), &r,
                     r.frameTime);
@@ -497,7 +497,7 @@ TEST(FaultOracle, PlantedBugIsCaughtOnDegradedFrame)
     machine.node(0).debugPlantCoverageShift();
     OracleEngine oracle(cfg, OracleMode::Full);
     oracle.attach(machine);
-    oracle.beginFrame(0, scene);
+    oracle.beginFrame(scene);
     FrameResult r = machine.run();
     EXPECT_TRUE(r.degraded);
     try {

@@ -1,9 +1,9 @@
-/** @file Tests for scene translation and inter-frame traffic. */
+/** @file Tests for scene translation and warm-cache frame pairs. */
 
 #include <gtest/gtest.h>
 
-#include "cache/two_level.hh"
 #include "core/interframe.hh"
+#include "core/sequence.hh"
 #include "scene/builder.hh"
 #include "scene/stats.hh"
 
@@ -21,14 +21,37 @@ wallScene()
     return b.take();
 }
 
-std::function<std::unique_ptr<TextureCache>()>
-twoLevelFactory()
+/** Frame 1 and then frame 2 as functional frames of one machine. */
+struct TwoFrames
 {
-    return [] {
-        return std::make_unique<TwoLevelCache>(
-            CacheGeometry{16 * 1024, 4, 64},
-            CacheGeometry{1024 * 1024, 8, 64});
-    };
+    FrameResult first;
+    FrameResult second;
+
+    /** Frame-2 over frame-1 texels per fragment: < 1 means reuse. */
+    double
+    reuseFactor() const
+    {
+        return first.texelToFragmentRatio > 0.0
+                   ? second.texelToFragmentRatio /
+                         first.texelToFragmentRatio
+                   : 0.0;
+    }
+};
+
+/** Block-16 tiles, a 16 KB L1 and a 1 MB L2 per node. */
+TwoFrames
+runTwoFrames(const Scene &f1, const Scene &f2, uint32_t procs)
+{
+    MachineConfig cfg;
+    cfg.numProcs = procs;
+    cfg.tileParam = 16;
+    cfg.hasL2 = true;
+    cfg.l2Geom = CacheGeometry{1024 * 1024, 8, 64};
+    SequenceMachine machine(f1, cfg);
+    TwoFrames out;
+    out.first = machine.runFrameFunctional(f1);
+    out.second = machine.runFrameFunctional(f2);
+    return out;
 }
 
 TEST(TranslateScene, ShiftsGeometryOnly)
@@ -71,11 +94,9 @@ TEST(InterFrame, ZeroPanIsFree)
     // at the external interface.
     Scene f1 = wallScene();
     Scene f2 = translateScene(f1, 0.0f, 0.0f);
-    auto dist = Distribution::make(DistKind::Block, 128, 128, 4, 16);
-    InterFrameResult r =
-        interFrameTraffic(f1, f2, *dist, twoLevelFactory());
-    EXPECT_GT(r.frame1Ratio, 0.0);
-    EXPECT_DOUBLE_EQ(r.frame2Ratio, 0.0);
+    TwoFrames r = runTwoFrames(f1, f2, 4);
+    EXPECT_GT(r.first.texelToFragmentRatio, 0.0);
+    EXPECT_DOUBLE_EQ(r.second.texelToFragmentRatio, 0.0);
     EXPECT_DOUBLE_EQ(r.reuseFactor(), 0.0);
 }
 
@@ -86,10 +107,7 @@ TEST(InterFrame, SingleProcessorImmuneToPan)
     // time; wrap-around textures mostly re-use).
     Scene f1 = wallScene();
     Scene f2 = translateScene(f1, 48.0f, 0.0f);
-    auto dist = Distribution::make(DistKind::Block, 128, 128, 1, 16);
-    InterFrameResult r =
-        interFrameTraffic(f1, f2, *dist, twoLevelFactory());
-    EXPECT_LT(r.reuseFactor(), 0.35);
+    EXPECT_LT(runTwoFrames(f1, f2, 1).reuseFactor(), 0.35);
 }
 
 TEST(InterFrame, MultiprocessorLosesReuseWithLargePan)
@@ -98,26 +116,21 @@ TEST(InterFrame, MultiprocessorLosesReuseWithLargePan)
     // than the tile moves pixels to nodes that never cached their
     // texels.
     Scene f1 = wallScene();
-    auto dist = Distribution::make(DistKind::Block, 128, 128, 16, 16);
-
-    Scene small_pan = translateScene(f1, 4.0f, 0.0f);
-    Scene big_pan = translateScene(f1, 48.0f, 0.0f);
-    InterFrameResult small =
-        interFrameTraffic(f1, small_pan, *dist, twoLevelFactory());
-    InterFrameResult big =
-        interFrameTraffic(f1, big_pan, *dist, twoLevelFactory());
-    EXPECT_GT(big.frame2Ratio, small.frame2Ratio);
+    TwoFrames small =
+        runTwoFrames(f1, translateScene(f1, 4.0f, 0.0f), 16);
+    TwoFrames big =
+        runTwoFrames(f1, translateScene(f1, 48.0f, 0.0f), 16);
+    EXPECT_GT(big.second.texelToFragmentRatio,
+              small.second.texelToFragmentRatio);
 }
 
 TEST(InterFrame, FragmentsCountedPerFrame)
 {
     Scene f1 = wallScene();
     Scene f2 = translateScene(f1, 64.0f, 0.0f); // half scrolls out
-    auto dist = Distribution::make(DistKind::Block, 128, 128, 4, 16);
-    InterFrameResult r =
-        interFrameTraffic(f1, f2, *dist, twoLevelFactory());
-    EXPECT_EQ(r.frame1Fragments, 128u * 128u);
-    EXPECT_EQ(r.frame2Fragments, 64u * 128u);
+    TwoFrames r = runTwoFrames(f1, f2, 4);
+    EXPECT_EQ(r.first.totalPixels, 128u * 128u);
+    EXPECT_EQ(r.second.totalPixels, 64u * 128u);
 }
 
 } // namespace

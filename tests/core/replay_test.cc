@@ -1,11 +1,10 @@
-/** @file Tests for replay manifests, digests and the frame auditor. */
+/** @file Tests for replay manifests and frame digests. */
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/audit.hh"
 #include "core/error.hh"
 #include "core/interframe.hh"
 #include "core/replay.hh"
@@ -156,26 +155,6 @@ TEST(ManifestError, CompleteRunWithMissingDigestsIsTyped)
                   std::string::npos)
             << e.describe();
     }
-}
-
-TEST(Audit, RealFramePassesCorruptedFrameFails)
-{
-    Scene scene = wallScene();
-    MachineConfig cfg = l2Config(4);
-    SequenceMachine machine(scene, cfg);
-    FrameResult frame = machine.runFrame(scene);
-
-    AuditReport clean =
-        auditFrame(scene, machine.distribution(), cfg, frame);
-    EXPECT_TRUE(clean.ok()) << clean.describe();
-
-    // Silently dropping one node's pixels breaks conservation.
-    FrameResult corrupt = frame;
-    corrupt.nodes[1].pixels -= 1;
-    AuditReport caught =
-        auditFrame(scene, machine.distribution(), cfg, corrupt);
-    EXPECT_FALSE(caught.ok());
-    EXPECT_FALSE(caught.describe().empty());
 }
 
 TEST(Replay, RestoredMachineReplaysRemainingFramesBitExactly)

@@ -2,8 +2,8 @@
  * @file
  * Tests for SMARTS-style sampled fast-forward: the --sample spec
  * parser, the frame-role schedule, functional frame execution on
- * SequenceMachine (exact cache deltas, no clock advance) and the
- * checkpoint taint guard.
+ * SequenceMachine (exact cache deltas, no clock advance), the
+ * checkpoint taint guard and the oracle on sampled runs.
  */
 
 #include <vector>
@@ -14,6 +14,7 @@
 #include "core/interframe.hh"
 #include "core/options.hh"
 #include "core/sequence.hh"
+#include "oracle/oracle.hh"
 #include "scene/builder.hh"
 
 namespace texdist
@@ -166,12 +167,6 @@ TEST(SampleCli, SampleRejectsExactStateFlags)
                           "--replay-verify=/tmp/m.json"});
         },
         ParseRule::Mismatch, {"--sample", "--replay-verify"});
-    expectCliError(
-        [] {
-            return parse({"--frames=10", "--sample=detail:1,ff:4",
-                          "--oracle=full"});
-        },
-        ParseRule::Mismatch, {"--sample", "--oracle"});
 }
 
 TEST(SampleCli, ValidSampleParses)
@@ -311,6 +306,76 @@ TEST(SampleFunctional, SerializeRefusesTaintedMachine)
         EXPECT_NE(e.describe().find("sampled"), std::string::npos)
             << e.describe();
     }
+}
+
+/**
+ * Drive an 8-px pan of wallScene() under @p args the way texdist_sim
+ * drives a sampled run: warm frames run functionally, ff frames not
+ * at all, and only detailed frames are bracketed by the oracle. With
+ * @p leak, a texel leak is planted on node 0 after the first warm
+ * frame. Returns the frame the oracle threw at, or -1; @p checked
+ * counts the detailed frames.
+ */
+int64_t
+sampledOracleRun(std::initializer_list<const char *> args, bool leak,
+                 uint32_t &checked)
+{
+    SimOptions opts = parse(args);
+    Scene base = wallScene();
+    MachineConfig cfg = l2Config(4);
+    SequenceMachine machine(base, cfg);
+    OracleEngine oracle(cfg, opts.oracle);
+    oracle.attach(machine);
+    checked = 0;
+    for (uint32_t f = 0; f < opts.frames; ++f) {
+        const FrameRole role = frameRole(opts.sample, f);
+        if (role == FrameRole::Skip)
+            continue;
+        Scene scene = translateScene(base, 8.0f * float(f), 0.0f);
+        if (role == FrameRole::Warm) {
+            machine.runFrameFunctional(scene);
+            if (leak)
+                machine.node(0).debugPlantTexelLeak();
+            continue;
+        }
+        oracle.beginFrame(scene);
+        FrameResult r = machine.runFrame(scene);
+        ++checked;
+        try {
+            oracle.endFrame(f, scene, &machine.distribution(), &r,
+                            machine.currentTime());
+        } catch (const OracleError &e) {
+            EXPECT_NE(e.describe().find("cache accesses"),
+                      std::string::npos)
+                << e.describe();
+            return e.frame();
+        }
+    }
+    return -1;
+}
+
+TEST(SampleOracle, FullOracleChecksTheDetailedFrames)
+{
+    uint32_t checked = 0;
+    EXPECT_EQ(sampledOracleRun({"--frames=12",
+                                "--sample=warm:1,detail:1,ff:4",
+                                "--oracle=full"},
+                               false, checked),
+              -1);
+    EXPECT_EQ(checked, 2u); // frames 3 and 9
+}
+
+TEST(SampleOracle, TexelLeakAfterFunctionalFramesThrows)
+{
+    // The leak is planted after warm frame 2; the functional scan
+    // does not leak, so the detailed frame 3 is the first to show it.
+    uint32_t checked = 0;
+    EXPECT_EQ(sampledOracleRun({"--frames=12",
+                                "--sample=warm:1,detail:1,ff:4",
+                                "--oracle=cheap"},
+                               true, checked),
+              3);
+    EXPECT_EQ(checked, 1u);
 }
 
 TEST(SampleFunctionalDeath, FaultPlansRejected)

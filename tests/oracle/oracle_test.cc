@@ -1,5 +1,6 @@
 /** @file Unit tests for the online invariant oracle. */
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -9,10 +10,12 @@
 #include "core/error.hh"
 #include "core/machine.hh"
 #include "core/options.hh"
+#include "core/sequence.hh"
 #include "geom/rng.hh"
 #include "oracle/oracle.hh"
 #include "oracle/shadow.hh"
 #include "scene/builder.hh"
+#include "texture/sampler.hh"
 
 namespace texdist
 {
@@ -60,14 +63,31 @@ TEST(OracleMode, ParsesAndPrints)
 
 TEST(OracleMode, FrameSampling)
 {
+    // Cheap and full check every frame they bracket; off checks
+    // none. A texel leak planted after frame 0 shows on frame 1.
+    Scene scene = testScene();
     MachineConfig cfg = testConfig();
-    OracleEngine off(cfg, OracleMode::Off);
-    OracleEngine cheap(cfg, OracleMode::Cheap);
-    OracleEngine full(cfg, OracleMode::Full);
-    for (uint32_t f = 0; f < 9; ++f) {
-        EXPECT_FALSE(off.checksFrame(f));
-        EXPECT_EQ(cheap.checksFrame(f), f % 4 == 0) << "frame " << f;
-        EXPECT_TRUE(full.checksFrame(f));
+    for (OracleMode mode :
+         {OracleMode::Off, OracleMode::Cheap, OracleMode::Full}) {
+        SequenceMachine machine(scene, cfg);
+        OracleEngine oracle(cfg, mode);
+        oracle.attach(machine);
+        int64_t caught_at = -1;
+        for (uint32_t f = 0; f < 3 && caught_at < 0; ++f) {
+            if (f == 1)
+                machine.node(0).debugPlantTexelLeak();
+            oracle.beginFrame(scene);
+            FrameResult r = machine.runFrame(scene);
+            try {
+                oracle.endFrame(f, scene, &machine.distribution(), &r,
+                                machine.currentTime());
+            } catch (const OracleError &e) {
+                caught_at = e.frame();
+                EXPECT_EQ(e.node(), 0) << e.describe();
+            }
+        }
+        EXPECT_EQ(caught_at, mode == OracleMode::Off ? -1 : 1)
+            << to_string(mode);
     }
 }
 
@@ -91,7 +111,7 @@ TEST(OracleEngine, CleanFrameRaisesNothing)
     ParallelMachine machine(scene, cfg);
     OracleEngine oracle(cfg, OracleMode::Full);
     oracle.attach(machine);
-    oracle.beginFrame(0, scene);
+    oracle.beginFrame(scene);
     FrameResult r = machine.run();
     EXPECT_NO_THROW(oracle.endFrame(0, scene,
                                     &machine.distribution(), &r,
@@ -113,7 +133,7 @@ TEST(OracleEngine, TimingAndResultsIdenticalWithOracleAttached)
     ParallelMachine watched(scene, cfg);
     OracleEngine oracle(cfg, OracleMode::Full);
     oracle.attach(watched);
-    oracle.beginFrame(0, scene);
+    oracle.beginFrame(scene);
     FrameResult b = watched.run();
     oracle.endFrame(0, scene, &watched.distribution(), &b,
                     b.frameTime);
@@ -128,6 +148,106 @@ TEST(OracleEngine, TimingAndResultsIdenticalWithOracleAttached)
         EXPECT_EQ(a.nodes[i].finishTime, b.nodes[i].finishTime);
         EXPECT_EQ(a.nodes[i].stallCycles, b.nodes[i].stallCycles);
     }
+}
+
+/**
+ * Run one two-phase frame under the cheap oracle, let @p corrupt edit
+ * its result, and return what endFrame reports ("" when it passes).
+ * @p with_dist false checks the frame the way sort-last does.
+ */
+template <typename Fn>
+std::string
+ledgerViolations(Fn &&corrupt, bool with_dist = true)
+{
+    Scene scene = testScene();
+    MachineConfig cfg = testConfig();
+    SequenceMachine machine(scene, cfg);
+    OracleEngine oracle(cfg, OracleMode::Cheap);
+    oracle.attach(machine);
+    oracle.beginFrame(scene);
+    FrameResult r = machine.runFrame(scene);
+    corrupt(r);
+    try {
+        oracle.endFrame(0, scene,
+                        with_dist ? &machine.distribution() : nullptr,
+                        &r, machine.currentTime());
+    } catch (const OracleError &e) {
+        EXPECT_EQ(e.exitCode(), 13);
+        return e.describe();
+    }
+    return "";
+}
+
+Tick
+latestFinish(const FrameResult &r)
+{
+    Tick t = 0;
+    for (const NodeResult &nr : r.nodes)
+        t = std::max(t, nr.finishTime);
+    return t;
+}
+
+TEST(OracleLedger, RealFramePassesCorruptedFrameFails)
+{
+    EXPECT_EQ(ledgerViolations([](FrameResult &) {}), "");
+
+    // Each corruption names the ledger check that must catch it.
+    struct Case
+    {
+        const char *what;
+        void (*corrupt)(FrameResult &);
+    };
+    const Case cases[] = {
+        {"node pixel counts sum",
+         [](FrameResult &r) { ++r.totalPixels; }},
+        {"scene rasterizes to",
+         [](FrameResult &r) { ++r.totalPixels; }},
+        {"node texel counts sum",
+         [](FrameResult &r) { ++r.totalTexelsFetched; }},
+        {"node1 owns",
+         [](FrameResult &r) {
+             ++r.nodes[0].pixels;
+             --r.nodes[1].pixels;
+         }},
+        {"misses but only",
+         [](FrameResult &r) {
+             r.nodes[2].cacheMisses = r.nodes[2].cacheAccesses + 1;
+         }},
+        {"cache accesses (expected",
+         [](FrameResult &r) { --r.nodes[3].cacheAccesses; }},
+        {"fifo bound",
+         [](FrameResult &r) { r.fifoMaxOccupancy = 10001; }},
+        {"exceeds the latest node finish",
+         [](FrameResult &r) { r.frameTime = latestFinish(r) + 1; }},
+    };
+    for (const Case &c : cases) {
+        std::string got = ledgerViolations(c.corrupt);
+        EXPECT_NE(got.find(c.what), std::string::npos)
+            << "wanted \"" << c.what << "\" in:\n" << got;
+    }
+}
+
+TEST(OracleLedger, DegradedFramesAndSortLastSkipTheirChecks)
+{
+    // Rerouted work may legally move fragments between nodes and
+    // overfill a survivor's FIFO.
+    EXPECT_EQ(ledgerViolations([](FrameResult &r) {
+                  r.degraded = true;
+                  ++r.nodes[0].pixels;
+                  --r.nodes[1].pixels;
+                  r.nodes[0].cacheAccesses += texelsPerFragment;
+                  r.nodes[1].cacheAccesses -= texelsPerFragment;
+                  r.fifoMaxOccupancy = 10001;
+              }),
+              "");
+    // Without a distribution (sort-last) there is no ledger, and a
+    // frame time that includes composition is legal.
+    EXPECT_EQ(ledgerViolations(
+                  [](FrameResult &r) {
+                      r.frameTime = latestFinish(r) + 1;
+                  },
+                  false),
+              "");
 }
 
 TEST(Shadow, CleanCacheNeverDiverges)

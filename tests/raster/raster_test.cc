@@ -351,5 +351,29 @@ TEST(Raster, BBoxContainsAllFragments)
     }
 }
 
+TEST(Raster, ForEachCoveredVisitsRasterizesPixelsInOrder)
+{
+    // Wide triangles cross several 64-pixel words and, past 512
+    // pixels, several coverage spans; the scissors clip them.
+    Rng rng(99);
+    const Rect scissors[] = {bigScissor, Rect(-3, 5, 700, 40)};
+    for (int iter = 0; iter < 40; ++iter) {
+        TexTriangle tri = makeTri(
+            float(rng.uniform(-20, 900)), float(rng.uniform(-20, 60)),
+            float(rng.uniform(-20, 900)), float(rng.uniform(-20, 60)),
+            float(rng.uniform(-20, 900)), float(rng.uniform(-20, 60)));
+        TriangleRaster raster(tri, 64, 64);
+        for (const Rect &scissor : scissors) {
+            std::vector<std::pair<int32_t, int32_t>> want, got;
+            for (const Fragment &f : collect(raster, scissor))
+                want.emplace_back(f.x, f.y);
+            raster.forEachCovered(scissor, [&](int32_t x, int32_t y) {
+                got.emplace_back(x, y);
+            });
+            EXPECT_EQ(got, want) << "triangle " << iter;
+        }
+    }
+}
+
 } // namespace
 } // namespace texdist

@@ -176,10 +176,9 @@ const char *const sweepConfigText =
 const std::vector<std::string> sweepNames = {
     "block4", "block8", "block16", "sli2", "sli4", "sli8"};
 
-// --oracle=cheap keeps the online invariant engine sampling frames
-// through the chaos run: a fault-recovery bug that corrupts coverage
-// or conservation surfaces as exit 13 instead of a silently wrong
-// (but byte-stable) sweep.csv.
+// --oracle=cheap checks every frame of the chaos run: a
+// fault-recovery bug that corrupts coverage or conservation surfaces
+// as exit 13 instead of a silently wrong (but byte-stable) sweep.csv.
 const std::vector<std::string> commonArgs = {
     "--scene=quake", "--scale=0.25", "--procs=4", "--frames=4",
     "--oracle=cheap"};

@@ -12,17 +12,18 @@
  * the robustness machinery: frame-granular checkpointing
  * (`--checkpoint-every`/`--restore`), run manifests with per-frame
  * state digests (`--manifest`), deterministic-replay verification
- * (`--replay-verify`) and invariant auditing (`--audit`). SIGINT and
- * SIGTERM flush partial results, write a final checkpoint and exit
- * with a distinct code so a supervisor can tell "interrupted" from
- * "failed".
+ * (`--replay-verify`) and sampled fast-forward (`--sample`). Any run
+ * can be checked frame by frame by the invariant oracle
+ * (`--oracle`). SIGINT and SIGTERM flush partial results, write a
+ * final checkpoint and exit with a distinct code so a supervisor can
+ * tell "interrupted" from "failed".
  *
  * Examples:
  *   texdist_sim --scene=quake --procs=64 --dist=block --param=16
  *   texdist_sim --trace=frame.trace --procs=16 --dist=sli --param=4 \
  *               --bus=2 --stats-file=stats.txt
  *   texdist_sim --scene=quake --procs=16 --frames=32 --pan=8 \
- *               --checkpoint-every=8 --manifest=run.json --audit
+ *               --checkpoint-every=8 --manifest=run.json --oracle=cheap
  *   texdist_sim --scene=quake --procs=16 --restore=texdist.ckpt \
  *               --replay-verify=run.json
  */
@@ -33,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "core/audit.hh"
 #include "core/csv.hh"
 #include "core/error.hh"
 #include "core/experiments.hh"
@@ -55,11 +55,11 @@ namespace
 {
 
 // Exit codes (also listed in --help): a supervisor like
-// tools/sweep_runner keys retry/resume decisions off these.
+// tools/sweep_runner keys retry/resume decisions off these. Code 4
+// is retired and never reused.
 constexpr int exitOk = 0;
 constexpr int exitFrameFailed = 2;
 constexpr int exitInterrupted = 3;
-constexpr int exitAuditViolation = 4;
 constexpr int exitReplayDivergence = 5;
 
 volatile std::sig_atomic_t g_signal = 0;
@@ -205,7 +205,7 @@ runSequence(const SimOptions &opts, const Scene &base)
             continue;
         }
 
-        oracle.beginFrame(f, scene);
+        oracle.beginFrame(scene);
         FrameResult r = machine.runFrame(scene);
         oracle.endFrame(f, scene, &machine.distribution(), &r,
                         machine.currentTime());
@@ -220,17 +220,6 @@ runSequence(const SimOptions &opts, const Scene &base)
                   << r.totalTexelsFetched << " texels (t/f "
                   << r.texelToFragmentRatio << "), digest "
                   << digestHex(digest) << "\n";
-
-        if (opts.audit) {
-            AuditReport report = auditFrame(
-                scene, machine.distribution(), opts.machine, r);
-            if (!report.ok()) {
-                std::cerr << "audit violation(s) at frame " << f
-                          << ":\n" << report.describe() << "\n";
-                exit_code = exitAuditViolation;
-                break;
-            }
-        }
 
         if (verifying && f < expect.digests.size() &&
             digest != expect.digests[f]) {
@@ -315,7 +304,7 @@ runSingle(const SimOptions &opts, const Scene &scene)
     ParallelMachine machine(scene, opts.machine);
     OracleEngine oracle(opts.machine, opts.oracle);
     oracle.attach(machine);
-    oracle.beginFrame(0, scene);
+    oracle.beginFrame(scene);
     FrameResult result = machine.run();
     uint64_t digest = digestFrame(result);
     oracle.endFrame(0, scene, &machine.distribution(), &result,
@@ -336,17 +325,6 @@ runSingle(const SimOptions &opts, const Scene &scene)
         std::cout << "speedup:           "
                   << double(baseline) / double(result.frameTime)
                   << " (T1 = " << baseline << ")\n";
-    }
-
-    int exit_code = result.failed ? exitFrameFailed : exitOk;
-    if (opts.audit && !result.failed) {
-        AuditReport report = auditFrame(
-            scene, machine.distribution(), opts.machine, result);
-        if (!report.ok()) {
-            std::cerr << "audit violation(s):\n"
-                      << report.describe() << "\n";
-            exit_code = exitAuditViolation;
-        }
     }
 
     if (!opts.resultCsv.empty()) {
@@ -375,7 +353,7 @@ runSingle(const SimOptions &opts, const Scene &scene)
         io::writeFileAtomic(opts.statsFile, os.str());
         std::cout << "stats written to " << opts.statsFile << "\n";
     }
-    return exit_code;
+    return result.failed ? exitFrameFailed : exitOk;
 }
 
 } // namespace

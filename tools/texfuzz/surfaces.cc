@@ -238,7 +238,7 @@ makeSeeds(ParseSurface surface)
             "--pan=2\n--checkpoint-every=2\n--l2-kb=1024",
             "--scene=flight\n--scale=0.5\n"
             "--fault=slow-node:rand,at=10000,x=8\n"
-            "--fault-seed=99\n--audit",
+            "--fault-seed=99",
             "--scene=quake\n--procs=4\n"
             "--io-fault=seed:7;enospc:.ckpt,after=4096\n"
             "--io-fault=rename-fail:.res,nth=rand,count=2\n"

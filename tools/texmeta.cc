@@ -205,7 +205,7 @@ runChecked(const Scene &scene, const MachineConfig &cfg,
 
     OracleEngine oracle(cfg, mode);
     oracle.attach(*machine);
-    oracle.beginFrame(0, scene);
+    oracle.beginFrame(scene);
 
     RunOutcome out;
     out.result = machine->run();
@@ -261,7 +261,7 @@ relationOrganization(const Scene &scene, uint32_t procs)
     SortLastMachine machine(scene, sl);
     OracleEngine oracle(sl.node, OracleMode::Full);
     oracle.attach(machine);
-    oracle.beginFrame(0, scene);
+    oracle.beginFrame(scene);
     SortLastResult slr = machine.run();
     oracle.endFrame(0, scene, nullptr, &slr.frame, slr.frame.frameTime);
     uint64_t c = oracle.lastCoverageDigest();
