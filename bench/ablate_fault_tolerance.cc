@@ -41,7 +41,6 @@ faultConfig(DistKind kind, uint32_t param)
     // A finite buffer keeps the feeder coupled to the nodes, which
     // is what lets one victim back-pressure the machine.
     cfg.triangleBufferSize = 64;
-    cfg.watchdogTicks = 100000;
     cfg.watchdogPolicy = WatchdogPolicy::Degrade;
     return cfg;
 }

@@ -17,7 +17,10 @@
 namespace texdist
 {
 
-/** What the watchdog does when the machine stops making progress. */
+/**
+ * What the machine does when a frame deadlocks: the event queue
+ * drains while work remains, because a FIFO refuses forever.
+ */
 enum class WatchdogPolicy
 {
     /** Abandon the frame with a structured diagnostic dump. */
@@ -30,8 +33,6 @@ enum class WatchdogPolicy
      */
     Degrade,
 };
-
-const char *to_string(WatchdogPolicy policy);
 
 /** Full description of one machine configuration. */
 struct MachineConfig
@@ -131,14 +132,9 @@ struct MachineConfig
     FaultPlan faults;
 
     /**
-     * Progress-check interval of the livelock/deadlock watchdog in
-     * ticks; 0 disables it. When enabled, a frame that makes no
-     * progress for a full interval while work remains is failed (or
-     * degraded, per watchdogPolicy) instead of hanging.
+     * Response to a deadlocked frame (`--watchdog=`). Not part of
+     * describe(): it changes nothing unless the frame deadlocks.
      */
-    Tick watchdogTicks = 0;
-
-    /** Response to a detected stall. */
     WatchdogPolicy watchdogPolicy = WatchdogPolicy::FailFrame;
 
     /** One-line description for reports. */

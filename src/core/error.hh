@@ -19,7 +19,8 @@
  *   code  meaning
  *      0  success
  *      1  usage / configuration error (including CLI parse errors)
- *      2  frame failed (watchdog fail policy, unrecoverable fault)
+ *      2  frame failed (deadlock under the fail policy, every node
+ *         killed)
  *      3  interrupted by SIGINT/SIGTERM (partial results flushed)
  *      4  retired (was the removed auditor's; never reused)
  *      5  replay divergence (digest mismatch against a manifest)

@@ -58,7 +58,6 @@ FrameLab::baseline(const MachineConfig &config)
     // degraded machine is compared against.
     base.triangleBufferSize = 10000;
     base.faults = FaultPlan{};
-    base.watchdogTicks = 0;
 
     std::string key = base.describe();
     auto it = baselines.find(key);

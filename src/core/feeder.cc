@@ -177,7 +177,6 @@ GeometryFeeder::tryDispatchOne()
         nodes[d]->enqueue(std::move(work));
     }
 
-    eventq().noteProgress();
     ++_dispatched;
     ++nextTriangle;
     return true;

@@ -72,8 +72,8 @@ class GeometryFeeder : public SimObject
 
     /**
      * The node whose refusing FIFO blocked the last failed dispatch;
-     * -1 when the feeder is not blocked. This is the watchdog's
-     * culprit when the machine degrades around a wedged node.
+     * -1 when the feeder is not blocked. This is the culprit the
+     * machine kills when it degrades around a deadlocked frame.
      */
     int32_t blockedOn() const { return waiting ? _blockedOn : -1; }
 

@@ -197,18 +197,11 @@ ParallelMachine::aliveNodes() const
     return alive;
 }
 
-bool
-ParallelMachine::onStall(Tick now)
+void
+ParallelMachine::onDeadlock()
 {
-    // A node that is still burning committed cycles (one big
-    // triangle is simulated atomically at its start tick) is
-    // healthy, not stalled — without this check the watchdog would
-    // fire on any triangle longer than its interval.
-    for (const auto &node : nodes)
-        if (!node->isDead() && node->busyUntil() > now)
-            return true;
-
-    if (faultStats.detectionTick == 0)
+    Tick now = eq.curTick();
+    if (!faultStats.detectionTick)
         faultStats.detectionTick = now;
     if (_diagnostic.empty())
         _diagnostic = dumpMachineState();
@@ -222,17 +215,15 @@ ParallelMachine::onStall(Tick now)
                     culprit = int32_t(node->id());
         }
         if (culprit >= 0 && aliveNodes() > 1) {
-            killNode(uint32_t(culprit), "watchdog");
-            feeder_->notifySpaceFreed();
-            return true;
+            killNode(uint32_t(culprit), "deadlock");
+            return;
         }
     }
 
     failFrame(detail::concat(
-        "watchdog: no progress for ", cfg.watchdogTicks,
-        " ticks at tick ", now, " with work remaining (",
+        "deadlock: no event pending and every live node idle at "
+        "tick ", now, " with work remaining (",
         feeder_->trianglesDispatched(), " triangles dispatched)"));
-    return false;
 }
 
 void
@@ -244,17 +235,15 @@ ParallelMachine::failFrame(const std::string &reason)
         _diagnostic = dumpMachineState();
     warn(reason);
 
-    // Cancel everything still pending so the queue drains instead of
-    // spinning (a livelocked feeder would otherwise reschedule
-    // forever) and no event outlives the frame scheduled.
+    // Cancel everything still pending (a fault can kill the last
+    // node mid-frame) so the queue drains now and no event outlives
+    // the frame scheduled.
     feeder_->cancelPending();
     for (auto &node : nodes)
         node->cancelPending();
     for (auto &ev : faultEvents)
         if (ev->scheduled())
             eq.deschedule(ev.get());
-    if (watchdog_)
-        watchdog_->cancel();
 }
 
 std::string
@@ -269,7 +258,7 @@ ParallelMachine::dumpMachineState() const
         os << "  " << node->name() << ": fifo="
            << node->fifoOccupancy() << "/" << cfg.triangleBufferSize
            << " pixels=" << node->pixelsDrawn()
-           << " busy_until=" << node->busyUntil()
+           << " finish=" << node->finishTime()
            << " slowdown=" << node->slowdown()
            << " frozen=" << (node->frozen() ? 1 : 0)
            << " dead=" << (node->isDead() ? 1 : 0) << "\n";
@@ -330,20 +319,24 @@ ParallelMachine::run()
     ran = true;
 
     armFaults();
-    if (cfg.watchdogTicks > 0) {
-        watchdog_ = std::make_unique<Watchdog>(
-            eq, cfg.watchdogTicks, [this] { return workRemains(); },
-            [this](Tick now) { return onStall(now); });
-        watchdog_->start();
-    }
-
     feeder_->start();
     eq.run();
 
-    if (!_failed && !feeder_->done())
-        texdist_panic("event queue drained with triangles pending "
-                      "(enable --watchdog-ticks for a diagnosed "
-                      "failure)");
+    // Every event source is finite: the feeder's credit polls and
+    // geometry arrivals, node work and fault strikes/recoveries all
+    // end. So the machine cannot livelock, and a drained queue with
+    // work remaining is exactly a deadlock on a FIFO that refuses
+    // forever. Respond at the tick the last live node goes idle;
+    // each response kills a node or fails the frame, so this ends.
+    LambdaEvent deadlock([this] { onDeadlock(); }, "deadlock");
+    while (!_failed && workRemains()) {
+        Tick idle = eq.curTick();
+        for (const auto &node : nodes)
+            if (!node->isDead())
+                idle = std::max(idle, node->finishTime());
+        eq.schedule(&deadlock, idle);
+        eq.run();
+    }
 
     Tick frame_time = 0;
     for (const auto &node : nodes)
@@ -357,8 +350,6 @@ ParallelMachine::run()
     out.failureReason = _failureReason;
     out.diagnostic = _diagnostic;
     faultStats.fragmentsRerouted = feeder_->fragmentsRerouted();
-    if (watchdog_)
-        faultStats.watchdogChecks = watchdog_->checks();
     out.faultStats = faultStats;
     return out;
 }
@@ -404,25 +395,12 @@ FrameResult::print(std::ostream &os) const
            << " triangles redistributed, "
            << faultStats.fragmentsRerouted
            << " fragments rerouted)\n";
-        if (faultStats.detectionTick > 0)
-            os << "watchdog detect:   tick "
-               << faultStats.detectionTick << " ("
-               << faultStats.watchdogChecks << " checks)\n";
+        if (faultStats.detectionTick)
+            os << "deadlock detect:   tick "
+               << *faultStats.detectionTick << "\n";
         if (failed)
             os << "FRAME FAILED:      " << failureReason << "\n";
     }
-}
-
-const char *
-to_string(WatchdogPolicy policy)
-{
-    switch (policy) {
-      case WatchdogPolicy::FailFrame:
-        return "fail";
-      case WatchdogPolicy::Degrade:
-        return "degrade";
-    }
-    return "?";
 }
 
 std::string
@@ -457,9 +435,6 @@ MachineConfig::describe() const
     if (!faults.empty())
         os << " faults=[" << faults.describe() << "]seed="
            << faults.seed;
-    if (watchdogTicks > 0)
-        os << " watchdog=" << watchdogTicks << "/"
-           << to_string(watchdogPolicy);
     return os.str();
 }
 

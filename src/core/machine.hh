@@ -18,7 +18,6 @@
 #include "core/feeder.hh"
 #include "core/node.hh"
 #include "scene/scene.hh"
-#include "sim/watchdog.hh"
 
 namespace texdist
 {
@@ -79,9 +78,9 @@ struct FrameResult
     bool degraded = false;
 
     /**
-     * The watchdog abandoned the frame: no progress while work
-     * remained and degradation was impossible or disabled. The
-     * measurements above cover only the work done before the stall.
+     * The frame was abandoned: it deadlocked and degradation was
+     * impossible or disabled, or a fault killed every node. The
+     * measurements above cover only the work done before that.
      */
     bool failed = false;
 
@@ -90,7 +89,7 @@ struct FrameResult
 
     /**
      * Structured per-node state dump captured at the moment of
-     * failure or first watchdog detection (empty otherwise).
+     * failure or first deadlock detection (empty otherwise).
      */
     std::string diagnostic;
 
@@ -184,7 +183,7 @@ class ParallelMachine
     /**
      * Declare a node dead and redistribute its queued work to the
      * survivors (public so tests can exercise degradation directly;
-     * normally driven by the fault plan or the watchdog).
+     * normally driven by the fault plan or deadlock detection).
      */
     void killNode(uint32_t victim, const char *why);
 
@@ -196,16 +195,16 @@ class ParallelMachine
     bool workRemains() const;
 
     /**
-     * Watchdog callback: no progress over a full interval. Returns
-     * true to keep monitoring (healthy or recovered by
-     * degradation), false when the frame was abandoned.
+     * The queue drained with work remaining: a FIFO refuses forever.
+     * Runs at the tick the last live node went idle; kills the
+     * culprit under the degrade policy, else fails the frame.
      */
-    bool onStall(Tick now);
+    void onDeadlock();
 
     /** Abandon the frame: record the reason, cancel all events. */
     void failFrame(const std::string &reason);
 
-    /** Per-node state dump for watchdog diagnostics. */
+    /** Per-node state dump for deadlock diagnostics. */
     std::string dumpMachineState() const;
 
     uint32_t aliveNodes() const;
@@ -216,7 +215,6 @@ class ParallelMachine
     std::unique_ptr<Distribution> dist;
     std::vector<std::unique_ptr<TextureNode>> nodes;
     std::unique_ptr<GeometryFeeder> feeder_;
-    std::unique_ptr<Watchdog> watchdog_;
     std::vector<std::unique_ptr<LambdaEvent>> faultEvents;
     FaultStats faultStats;
     size_t redistributeCursor = 0;

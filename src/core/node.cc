@@ -240,8 +240,6 @@ TextureNode::processNext()
     if (feeder)
         feeder->notifySpaceFreed();
 
-    eventq().noteProgress();
-
     runTriangle(work.tex, work.frags.data(), work.frags.size(),
                 start);
 

@@ -142,15 +142,6 @@ class TextureNode : public SimObject
     /** Tick at which this node has fully finished (idle + retired). */
     Tick finishTime() const;
 
-    /**
-     * Tick until which the node is burning already-committed cycles.
-     * While this is ahead of the current tick the node is healthy
-     * even if no event has fired for a while (one large triangle is
-     * simulated atomically), so the watchdog must not declare it
-     * stalled.
-     */
-    Tick busyUntil() const { return std::max(cpuTime, lastRetire); }
-
     // --- fault hooks ---------------------------------------------------
 
     /**

@@ -288,14 +288,12 @@ SimOptions::usage()
         "                        resolves 'rand' values\n"
         "                        e.g. --io-fault=enospc:.ckpt,"
         "after=4096\n"
-        "  --watchdog-ticks=<n>  no-progress detection interval, "
-        "0 = off\n"
         "  --watchdog=fail|degrade\n"
-        "                        stall response: fail the frame with "
-        "a\n"
-        "                        diagnostic, or kill the culprit "
-        "node\n"
-        "                        and redistribute (default fail)\n"
+        "                        deadlock response (a FIFO frozen for\n"
+        "                        good): fail the frame with a "
+        "diagnostic,\n"
+        "                        or kill the culprit node and\n"
+        "                        redistribute (default fail)\n"
         "\n"
         "sampled fast-forward (see docs/PERF.md):\n"
         "  --sample=warm:<W>,detail:<D>[,ff:<F>]\n"
@@ -487,9 +485,6 @@ SimOptions::parse(const std::vector<std::string> &args)
             opts.machine.faults.add(v);
         } else if (match(arg, "fault-seed", v)) {
             opts.machine.faults.seed = parseCliU64(v, "fault-seed");
-        } else if (match(arg, "watchdog-ticks", v)) {
-            opts.machine.watchdogTicks =
-                parseCliU64(v, "watchdog-ticks");
         } else if (match(arg, "watchdog", v)) {
             if (v == "fail")
                 opts.machine.watchdogPolicy =

@@ -66,9 +66,10 @@ SequenceMachine::armFaults(Tick frame_start)
             maxActionTick = std::max(maxActionTick, at);
             break;
           default:
-            // fifo-freeze and kill-node need the watchdog and
-            // degradation machinery of ParallelMachine, which a
-            // checkpointable sequence does not carry.
+            // fifo-freeze and kill-node need the deadlock
+            // detection and degradation machinery of
+            // ParallelMachine, which a checkpointable sequence does
+            // not carry.
             texdist_fatal("fault kind '", to_string(fault.kind),
                           "' is not supported in multi-frame "
                           "(sequence) runs");

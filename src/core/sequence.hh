@@ -120,7 +120,7 @@ class SequenceMachine
      * runs fault ticks are relative to the frame start and the plan
      * strikes every frame, with `rand` victims re-resolved per frame
      * from the session RNG stream. Only faults a sequence can
-     * survive without a watchdog (slow-node, bus-stall) are
+     * survive without deadlock handling (slow-node, bus-stall) are
      * supported. Updates frameFaultsInjected and maxActionTick.
      */
     std::vector<EngineFaultAction> armFaults(Tick frame_start);

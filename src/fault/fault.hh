@@ -31,6 +31,7 @@
 #define TEXDIST_FAULT_FAULT_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -120,7 +121,7 @@ struct FaultStats
     /** Faults that actually struck during the frame. */
     uint32_t injected = 0;
 
-    /** Nodes declared dead (by plan or watchdog). */
+    /** Nodes declared dead (by plan or deadlock detection). */
     uint32_t nodesKilled = 0;
 
     /** Queued triangles moved off dead nodes' FIFOs. */
@@ -129,11 +130,13 @@ struct FaultStats
     /** Fragments the feeder rerouted away from dead nodes. */
     uint64_t fragmentsRerouted = 0;
 
-    /** Progress checks the watchdog performed. */
-    uint64_t watchdogChecks = 0;
-
-    /** Tick of the first watchdog no-progress detection (0 = never). */
-    Tick detectionTick = 0;
+    /**
+     * Tick of the first deadlock response: the tick the last live
+     * node went idle after the event queue drained with work left.
+     * Empty when the frame never deadlocked (tick 0 is a valid
+     * detection, e.g. a FIFO frozen before the first push).
+     */
+    std::optional<Tick> detectionTick;
 };
 
 } // namespace texdist

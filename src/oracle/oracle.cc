@@ -468,7 +468,7 @@ OracleEngine::endFrame(uint32_t frame, const Scene &scene,
     if (!armed)
         return;
     armed = false;
-    // Watchdog-failed frames were cut short mid-work by design:
+    // Failed frames were cut short mid-work by design:
     // nothing is conserved, and the driver reports the failure
     // through its own exit code.
     if (result && result->failed)

@@ -73,16 +73,6 @@ EventQueue::skipStale()
     }
 }
 
-Tick
-EventQueue::nextTick() const
-{
-    // skipStale() is non-const; emulate it by scanning a copy of the
-    // top. Cheaper: cast away constness on the mutable heap cleanup.
-    auto *self = const_cast<EventQueue *>(this);
-    self->skipStale();
-    return heap.empty() ? maxTick : heap.top().when;
-}
-
 bool
 EventQueue::step()
 {
@@ -105,16 +95,6 @@ EventQueue::run()
 {
     while (step()) {
     }
-    return _curTick;
-}
-
-Tick
-EventQueue::runUntil(Tick until)
-{
-    while (nextTick() <= until)
-        step();
-    if (_curTick < until)
-        _curTick = until;
     return _curTick;
 }
 

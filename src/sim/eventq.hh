@@ -107,9 +107,6 @@ class EventQueue
     /** Number of pending (non-stale) events. */
     size_t size() const { return numPending; }
 
-    /** Tick of the next pending event; maxTick when empty. */
-    Tick nextTick() const;
-
     /**
      * Process exactly one event.
      * @return true if an event was processed
@@ -121,27 +118,6 @@ class EventQueue
      * @return the final simulation time
      */
     Tick run();
-
-    /**
-     * Run while the next event's tick is <= @p until. Afterwards
-     * curTick() == min(until, final event tick reached).
-     */
-    Tick runUntil(Tick until);
-
-    /** Total events processed since construction. */
-    uint64_t eventsProcessed() const { return numProcessed; }
-
-    /**
-     * Record one unit of forward progress (a triangle dispatched, a
-     * triangle's fragments retired). A watchdog that samples
-     * progressCount() can distinguish a livelocked simulation —
-     * events firing, or none pending, with this counter frozen —
-     * from one that is merely slow.
-     */
-    void noteProgress() { ++_progress; }
-
-    /** Progress units recorded since construction. */
-    uint64_t progressCount() const { return _progress; }
 
     /**
      * Restore the clock of a checkpointed simulation: jump an idle
@@ -178,7 +154,6 @@ class EventQueue
     Tick _curTick = 0;
     uint64_t nextStamp = 1;
     uint64_t numProcessed = 0;
-    uint64_t _progress = 0;
     size_t numPending = 0;
 };
 

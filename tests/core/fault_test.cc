@@ -1,4 +1,7 @@
-/** @file Fault injection, watchdog and graceful-degradation tests. */
+/**
+ * @file Fault injection, deadlock detection and graceful-degradation
+ * tests.
+ */
 
 #include <sstream>
 
@@ -7,7 +10,9 @@
 #include "core/error.hh"
 #include "core/experiments.hh"
 #include "core/machine.hh"
+#include "core/replay.hh"
 #include "oracle/oracle.hh"
+#include "scene/benchmarks.hh"
 #include "scene/builder.hh"
 
 namespace texdist
@@ -307,28 +312,29 @@ TEST(Fault, KillOnlyNodeFailsFrame)
               std::string::npos);
 }
 
-// --- watchdog ------------------------------------------------------
+// --- deadlock detection -------------------------------------------
 
 TEST(Fault, FrozenFifoFailsFrameWithDiagnostic)
 {
     // A permanently frozen FIFO deadlocks the in-order feeder (the
-    // full-screen quad needs every node). With the watchdog the run
-    // terminates with a structured diagnostic instead of hanging.
+    // full-screen quad needs every node). The queue drains at tick
+    // 0 with both triangles pending: the run fails with a
+    // structured diagnostic instead of hanging.
     Scene scene = quadScene(64, 0, 0, 64, 64);
     MachineConfig cfg = perfectConfig(4);
     cfg.tileParam = 16;
     cfg.triangleBufferSize = 2;
     cfg.faults.add("fifo-freeze:1,at=0");
-    cfg.watchdogTicks = 500;
     cfg.watchdogPolicy = WatchdogPolicy::FailFrame;
 
     FrameResult r = runFrame(scene, cfg);
     EXPECT_TRUE(r.failed);
     EXPECT_FALSE(r.degraded);
-    EXPECT_EQ(r.faultStats.detectionTick, 500u);
-    EXPECT_NE(r.failureReason.find("watchdog"), std::string::npos);
+    EXPECT_EQ(r.faultStats.detectionTick, Tick(0));
+    EXPECT_EQ(r.trianglesDispatched, 0u);
+    EXPECT_NE(r.failureReason.find("deadlock"), std::string::npos);
     EXPECT_NE(r.diagnostic.find("frozen=1"), std::string::npos);
-    EXPECT_NE(r.diagnostic.find("feeder"), std::string::npos);
+    EXPECT_NE(r.diagnostic.find("blocked_on=1"), std::string::npos);
 
     // Same plan, same detection tick.
     FrameResult again = runFrame(scene, cfg);
@@ -338,31 +344,94 @@ TEST(Fault, FrozenFifoFailsFrameWithDiagnostic)
 
 TEST(Fault, FrozenFifoDegradePolicyCompletesFrame)
 {
-    // Same deadlock, degrade policy: the watchdog identifies the
-    // frozen node as the culprit, kills it, and the frame completes
-    // with full pixel coverage on the survivors.
+    // Same deadlock, degrade policy: the feeder names the frozen
+    // node as the culprit, it is killed at the detection tick, and
+    // the frame completes with full pixel coverage on the survivors.
     Scene scene = quadScene(64, 0, 0, 64, 64);
     MachineConfig cfg = perfectConfig(4);
     cfg.tileParam = 16;
     cfg.triangleBufferSize = 2;
     cfg.faults.add("fifo-freeze:1,at=0");
-    cfg.watchdogTicks = 500;
     cfg.watchdogPolicy = WatchdogPolicy::Degrade;
 
     FrameResult r = runFrame(scene, cfg);
     EXPECT_FALSE(r.failed);
     EXPECT_TRUE(r.degraded);
     EXPECT_EQ(r.faultStats.nodesKilled, 1u);
-    EXPECT_EQ(r.faultStats.detectionTick, 500u);
+    EXPECT_EQ(r.faultStats.detectionTick, Tick(0));
     EXPECT_EQ(r.totalPixels, 64u * 64u);
     EXPECT_EQ(r.nodes[1].pixels, 0u); // the dead node drew nothing
     EXPECT_GT(r.faultStats.fragmentsRerouted, 0u);
 }
 
+TEST(Fault, PermanentFreezeFailsWithoutFlags)
+{
+    // A permanent freeze under the default policy and no other
+    // flag: the frame fails with the per-node dump.
+    Scene scene = makeBenchmark("quake", 0.25);
+    MachineConfig cfg;
+    cfg.numProcs = 4;
+    cfg.triangleBufferSize = 4;
+    cfg.faults.add("fifo-freeze:1,at=0");
+
+    FrameResult r = runFrame(scene, cfg);
+    EXPECT_TRUE(r.failed);
+    EXPECT_FALSE(r.degraded);
+    EXPECT_EQ(r.faultStats.detectionTick, Tick(0));
+    EXPECT_NE(r.failureReason.find("deadlock"), std::string::npos);
+    EXPECT_NE(r.diagnostic.find("blocked_on=1"), std::string::npos);
+    EXPECT_NE(r.diagnostic.find("frozen=1"), std::string::npos);
+
+    // Wedged mid-stream, the queue drains while the nodes still
+    // scan what they were given: the frame fails at the tick the
+    // last of them goes idle.
+    cfg.faults = FaultPlan{};
+    cfg.faults.add("fifo-freeze:1,at=2000");
+    FrameResult mid = runFrame(scene, cfg);
+    EXPECT_TRUE(mid.failed);
+    EXPECT_GT(mid.trianglesDispatched, 0u);
+    EXPECT_GT(mid.frameTime, 2000u);
+    EXPECT_EQ(mid.faultStats.detectionTick, mid.frameTime);
+    std::ostringstream os;
+    mid.print(os);
+    EXPECT_NE(os.str().find("deadlock detect:   tick " +
+                            std::to_string(mid.frameTime)),
+              std::string::npos);
+}
+
+TEST(Fault, SlowGeometryIsNotADeadlock)
+{
+    // One geometry engine far slower than a triangle's scan: the
+    // nodes idle for long stretches while the next triangle is in
+    // the geometry stage, but its arrival is a pending event, so the
+    // queue never drains with work left and nothing is killed.
+    Scene scene = busyScene();
+    MachineConfig cfg = perfectConfig(4);
+    cfg.triangleBufferSize = 4;
+    cfg.geometryProcs = 1;
+    cfg.geometryCyclesPerTriangle = 50000;
+
+    cfg.watchdogPolicy = WatchdogPolicy::FailFrame;
+    FrameResult fail = runFrame(scene, cfg);
+    cfg.watchdogPolicy = WatchdogPolicy::Degrade;
+    FrameResult degrade = runFrame(scene, cfg);
+
+    for (const FrameResult *r : {&fail, &degrade}) {
+        EXPECT_FALSE(r->failed);
+        EXPECT_FALSE(r->degraded);
+        EXPECT_FALSE(r->faultStats.detectionTick);
+        EXPECT_GT(r->frameTime,
+                  Tick(cfg.geometryCyclesPerTriangle) *
+                      r->trianglesDispatched);
+    }
+    EXPECT_EQ(digestFrame(degrade), digestFrame(fail));
+}
+
 TEST(Fault, TransientFreezeRecoversWithoutWatchdog)
 {
-    // A freeze shorter than the frame, with recovery nudging the
-    // feeder: completes normally with no watchdog at all.
+    // A freeze shorter than the frame: its recovery is a pending
+    // event that nudges the feeder, so the queue never drains with
+    // work left and the frame completes normally.
     Scene scene = quadScene(64, 0, 0, 64, 64);
     MachineConfig cfg = perfectConfig(4);
     cfg.tileParam = 16;
@@ -371,29 +440,31 @@ TEST(Fault, TransientFreezeRecoversWithoutWatchdog)
     FrameResult r = runFrame(scene, cfg);
     EXPECT_FALSE(r.failed);
     EXPECT_FALSE(r.degraded);
+    EXPECT_FALSE(r.faultStats.detectionTick);
     EXPECT_EQ(r.totalPixels, 64u * 64u);
 }
 
 TEST(Fault, WatchdogToleratesAtomicallySimulatedTriangles)
 {
     // An 800-pixel triangle is simulated atomically at its start
-    // tick: no events fire while it "runs". The busyUntil() health
-    // check must keep a short-interval watchdog from declaring the
-    // node stalled.
+    // tick: no events fire while it "runs", and the queue drains at
+    // tick 0 with the node busy until tick 1600. That is the end of
+    // the frame, not a deadlock: no work remains.
     Scene scene = quadScene(64, 0, 0, 40, 40);
     MachineConfig cfg = perfectConfig();
-    cfg.watchdogTicks = 100;
     FrameResult r = runFrame(scene, cfg);
     EXPECT_FALSE(r.failed);
     EXPECT_FALSE(r.degraded);
     EXPECT_EQ(r.frameTime, 1600u);
-    EXPECT_EQ(r.faultStats.detectionTick, 0u);
+    EXPECT_FALSE(r.faultStats.detectionTick);
 }
 
 // --- 16-proc block vs SLI survival (acceptance scenario) -----------
 
 TEST(Fault, SixteenProcStragglerCompletesUnderBothDistributions)
 {
+    // A straggler slows the machine but never wedges it: even under
+    // the degrade policy no node is killed.
     Scene scene = busyScene();
     for (DistKind kind : {DistKind::Block, DistKind::SLI}) {
         MachineConfig cfg = perfectConfig(16);
@@ -401,23 +472,25 @@ TEST(Fault, SixteenProcStragglerCompletesUnderBothDistributions)
         cfg.tileParam = kind == DistKind::Block ? 16 : 2;
         cfg.triangleBufferSize = 8;
         cfg.faults.add("slow-node:3,at=0,x=8");
-        cfg.watchdogTicks = 10000;
         cfg.watchdogPolicy = WatchdogPolicy::Degrade;
         FrameResult r = runFrame(scene, cfg);
         EXPECT_FALSE(r.failed) << to_string(kind);
+        EXPECT_FALSE(r.degraded) << to_string(kind);
         EXPECT_GT(r.totalPixels, 0u) << to_string(kind);
     }
 }
 
-TEST(Fault, ConfigDescribeMentionsFaultsAndWatchdog)
+TEST(Fault, ConfigDescribeMentionsFaultsNotPolicy)
 {
+    // The deadlock policy changes nothing unless a frame deadlocks,
+    // so it is not part of the configuration's identity.
     MachineConfig cfg;
     cfg.faults.add("slow-node:3,at=10,x=8");
-    cfg.watchdogTicks = 500;
+    std::string plain = cfg.describe();
     cfg.watchdogPolicy = WatchdogPolicy::Degrade;
     std::string desc = cfg.describe();
     EXPECT_NE(desc.find("faults=[slow-node:3"), std::string::npos);
-    EXPECT_NE(desc.find("watchdog=500/degrade"), std::string::npos);
+    EXPECT_EQ(desc, plain);
 }
 
 TEST(Fault, FrameResultPrintReportsFaultLines)

@@ -113,7 +113,7 @@ TEST(SimOptions, UsageMentionsEveryOption)
           "--cache-ways", "--bus", "--buffer", "--setup",
           "--prefetch", "--geometry", "--geom-procs",
           "--geom-cycles", "--stats-file", "--fault",
-          "--fault-seed", "--watchdog-ticks", "--watchdog"})
+          "--fault-seed", "--watchdog"})
         EXPECT_NE(u.find(key), std::string::npos) << key;
 }
 
@@ -122,8 +122,7 @@ TEST(SimOptions, FaultAndWatchdogFlags)
     SimOptions o = parse(
         {"--fault=slow-node:3,at=10000,x=8",
          "--fault=kill-node:rand,at=500;fifo-freeze:1,at=20",
-         "--fault-seed=99", "--watchdog-ticks=5000",
-         "--watchdog=degrade"});
+         "--fault-seed=99", "--watchdog=degrade"});
     ASSERT_EQ(o.machine.faults.faults.size(), 3u);
     EXPECT_EQ(o.machine.faults.faults[0].kind, FaultKind::SlowNode);
     EXPECT_EQ(o.machine.faults.faults[0].victim, 3u);
@@ -133,7 +132,6 @@ TEST(SimOptions, FaultAndWatchdogFlags)
     EXPECT_EQ(o.machine.faults.faults[2].kind,
               FaultKind::FifoFreeze);
     EXPECT_EQ(o.machine.faults.seed, 99u);
-    EXPECT_EQ(o.machine.watchdogTicks, 5000u);
     EXPECT_EQ(o.machine.watchdogPolicy, WatchdogPolicy::Degrade);
 }
 
@@ -141,7 +139,6 @@ TEST(SimOptions, WatchdogDefaultsOff)
 {
     SimOptions o = parse({});
     EXPECT_TRUE(o.machine.faults.empty());
-    EXPECT_EQ(o.machine.watchdogTicks, 0u);
     EXPECT_EQ(o.machine.watchdogPolicy, WatchdogPolicy::FailFrame);
 }
 
@@ -149,6 +146,9 @@ TEST(SimOptionsError, UnknownOptionFatal)
 {
     expectCliError([&] { return parse({"--bogus=1"}); },
                    {"unknown option"});
+    // The interval watchdog is gone: deadlock detection is exact.
+    expectCliError([&] { return parse({"--watchdog-ticks=500"}); },
+                   {"unknown option", "--watchdog-ticks"});
 }
 
 TEST(SimOptionsError, BadValuesFatal)
@@ -257,8 +257,6 @@ TEST(SimOptionsError, BadFaultAndWatchdogValuesFatal)
     expectCliError([&] { return parse({"--fault=slow-node:1,x=banana"}); },
                    {"integer"});
     expectCliError([&] { return parse({"--fault-seed=abc"}); },
-                   {"integer"});
-    expectCliError([&] { return parse({"--watchdog-ticks=-5"}); },
                    {"integer"});
     expectCliError([&] { return parse({"--watchdog=panic"}); },
                    {"fail or degrade"});

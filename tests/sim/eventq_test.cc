@@ -16,7 +16,6 @@ TEST(EventQueue, EmptyInitially)
     EventQueue eq;
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.curTick(), 0u);
-    EXPECT_EQ(eq.nextTick(), maxTick);
     EXPECT_FALSE(eq.step());
 }
 
@@ -93,12 +92,13 @@ TEST(EventQueue, RescheduleMovesEvent)
 {
     EventQueue eq;
     Tick when = 0;
-    LambdaEvent e([&] { when = eq.curTick(); });
+    int runs = 0;
+    LambdaEvent e([&] { when = eq.curTick(); ++runs; });
     eq.schedule(&e, 10);
     eq.reschedule(&e, 25);
     eq.run();
     EXPECT_EQ(when, 25u);
-    EXPECT_EQ(eq.eventsProcessed(), 1u);
+    EXPECT_EQ(runs, 1); // the stale tick-10 entry is skipped
 }
 
 TEST(EventQueue, RescheduleUnscheduledActsAsSchedule)
@@ -109,32 +109,6 @@ TEST(EventQueue, RescheduleUnscheduledActsAsSchedule)
     eq.reschedule(&e, 7);
     eq.run();
     EXPECT_TRUE(ran);
-}
-
-TEST(EventQueue, RunUntilStopsAtBoundary)
-{
-    EventQueue eq;
-    int count = 0;
-    LambdaEvent a([&] { ++count; });
-    LambdaEvent b([&] { ++count; });
-    eq.schedule(&a, 10);
-    eq.schedule(&b, 100);
-    eq.runUntil(50);
-    EXPECT_EQ(count, 1);
-    EXPECT_EQ(eq.curTick(), 50u);
-    EXPECT_FALSE(eq.empty());
-    eq.run();
-    EXPECT_EQ(count, 2);
-}
-
-TEST(EventQueue, RunUntilInclusive)
-{
-    EventQueue eq;
-    int count = 0;
-    LambdaEvent a([&] { ++count; });
-    eq.schedule(&a, 50);
-    eq.runUntil(50);
-    EXPECT_EQ(count, 1);
 }
 
 TEST(EventQueue, EventReusableAfterProcessing)

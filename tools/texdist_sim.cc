@@ -6,8 +6,8 @@
  * statistics — the texdist equivalent of invoking gem5 with a
  * config.
  *
- * Single-frame runs use the ParallelMachine (full fault-injection,
- * watchdog and graceful-degradation support). Multi-frame runs
+ * Single-frame runs use the ParallelMachine (full fault injection,
+ * exact deadlock detection and graceful degradation). Multi-frame runs
  * (`--frames`, `--pan`) use the persistent SequenceMachine and gain
  * the robustness machinery: frame-granular checkpointing
  * (`--checkpoint-every`/`--restore`), run manifests with per-frame
