@@ -106,9 +106,6 @@ class TextureCache
     uint64_t misses() const { return _misses; }
     uint64_t hits() const { return _accesses - _misses; }
 
-    /** Lines fetched from memory — equals misses. */
-    uint64_t linesFetched() const { return _misses; }
-
     /**
      * Texels transferred over the external bus per miss: a full
      * 16-texel line for line-based caches, a single texel for the
@@ -122,12 +119,6 @@ class TextureCache
     texelsFetched() const
     {
         return _misses * texelsPerFill();
-    }
-
-    double
-    missRate() const
-    {
-        return _accesses ? double(_misses) / double(_accesses) : 0.0;
     }
 
   protected:

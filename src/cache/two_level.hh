@@ -75,12 +75,6 @@ class TwoLevelCache : public TextureCache
 
     /** L1-level statistics (on-chip). */
     uint64_t l1Misses() const { return _l1Misses; }
-    double
-    l1MissRate() const
-    {
-        return accesses() ? double(_l1Misses) / double(accesses())
-                          : 0.0;
-    }
 
     /** Lines that missed L1 but hit the on-board L2. */
     uint64_t l2Hits() const { return _l1Misses - _misses; }

@@ -12,7 +12,7 @@ GeometryFeeder::GeometryFeeder(
     const Scene &scene_, const Distribution &dist_,
     std::vector<std::unique_ptr<TextureNode>> &nodes_,
     EventQueue &eq_, const MachineConfig &config)
-    : SimObject("feeder", eq_), scene(scene_), dist(dist_),
+    : eq(eq_), scene(scene_), dist(dist_),
       nodes(nodes_), rate(config.geometryTrianglesPerCycle),
       geomProcs(config.geometryProcs),
       geomCycles(config.geometryCyclesPerTriangle),
@@ -22,18 +22,6 @@ GeometryFeeder::GeometryFeeder(
         geomEngineFree.assign(geomProcs, 0);
     buckets.resize(dist.numProcs());
     alive.assign(dist.numProcs(), true);
-    _stats.addStat("dispatched", "triangles dispatched", _dispatched);
-    _stats.addStat("rerouted_frags",
-                   "fragments rerouted off dead nodes",
-                   _fragmentsRerouted);
-    _stats.addStat("degenerate", "zero-area triangles skipped",
-                   _degenerate);
-    _stats.addStat("culled", "off-screen triangles skipped", _culled);
-    _stats.addStat("blocked_cycles", "cycles blocked on full FIFOs",
-                   _blockedCycles);
-    _stats.addStat("fifo_occupancy",
-                   "destination FIFO occupancy at dispatch",
-                   fifoOccupancy);
 }
 
 void
@@ -44,7 +32,7 @@ GeometryFeeder::start(Tick when)
         std::fill(geomEngineFree.begin(), geomEngineFree.end(),
                   when);
     if (!done())
-        eventq().schedule(&dispatchEvent, when);
+        eq.schedule(&dispatchEvent, when);
 }
 
 void
@@ -52,8 +40,8 @@ GeometryFeeder::notifySpaceFreed()
 {
     if (waiting && !dispatchEvent.scheduled()) {
         waiting = false;
-        _blockedCycles += curTick() - blockedSince;
-        eventq().schedule(&dispatchEvent, curTick());
+        _blockedCycles += eq.curTick() - blockedSince;
+        eq.schedule(&dispatchEvent, eq.curTick());
     }
 }
 
@@ -69,7 +57,7 @@ void
 GeometryFeeder::cancelPending()
 {
     if (dispatchEvent.scheduled())
-        eventq().deschedule(&dispatchEvent);
+        eq.deschedule(&dispatchEvent);
     waiting = false;
 }
 
@@ -204,7 +192,7 @@ GeometryFeeder::dispatchLoop()
     if (rate > 0.0) {
         // Finite aggregate rate: accumulate dispatch credit over the
         // cycles elapsed since the last dispatch event.
-        Tick now = curTick();
+        Tick now = eq.curTick();
         rateCredit += rate * double(now - lastRateTick);
         rateCredit = std::min(rateCredit, std::max(1.0, rate));
         lastRateTick = now;
@@ -215,20 +203,20 @@ GeometryFeeder::dispatchLoop()
             nextArrival = computeArrival();
             arrivalValid = true;
         }
-        if (geomProcs > 0 && curTick() < nextArrival) {
+        if (geomProcs > 0 && eq.curTick() < nextArrival) {
             // The triangle is still in the geometry stage.
-            eventq().schedule(&dispatchEvent, nextArrival);
+            eq.schedule(&dispatchEvent, nextArrival);
             return;
         }
         if (rate > 0.0 && rateCredit < 1.0) {
             // Out of credit: try again next cycle.
-            eventq().schedule(&dispatchEvent, curTick() + 1);
+            eq.schedule(&dispatchEvent, eq.curTick() + 1);
             return;
         }
         size_t index = nextTriangle;
         if (!tryDispatchOne()) {
             waiting = true;
-            blockedSince = curTick();
+            blockedSince = eq.curTick();
             return;
         }
         if (nextTriangle != index)
@@ -236,7 +224,6 @@ GeometryFeeder::dispatchLoop()
         if (rate > 0.0)
             rateCredit -= 1.0;
     }
-    _finishTime = curTick();
 }
 
 } // namespace texdist

@@ -19,13 +19,14 @@
 #include "core/distribution.hh"
 #include "core/node.hh"
 #include "scene/scene.hh"
-#include "sim/sim_object.hh"
+#include "sim/eventq.hh"
+#include "sim/stats.hh"
 
 namespace texdist
 {
 
 /** Streams a scene's triangles into the node FIFOs in order. */
-class GeometryFeeder : public SimObject
+class GeometryFeeder
 {
   public:
     GeometryFeeder(const Scene &scene, const Distribution &dist,
@@ -56,8 +57,9 @@ class GeometryFeeder : public SimObject
     /** Cycles the feeder spent blocked on a full FIFO. */
     uint64_t blockedCycles() const { return _blockedCycles; }
 
-    /** Tick at which the last triangle was dispatched. */
-    Tick finishTime() const { return _finishTime; }
+    /** Destination FIFO occupancy sampled at every dispatch. */
+    const Histogram &fifoOccupancyHistogram() const
+    { return fifoOccupancy; }
 
     /**
      * Node @p dead no longer accepts work: fragments its regions own
@@ -111,6 +113,7 @@ class GeometryFeeder : public SimObject
      */
     Tick computeArrival();
 
+    EventQueue &eq;
     const Scene &scene;
     const Distribution &dist;
     std::vector<std::unique_ptr<TextureNode>> &nodes;
@@ -147,7 +150,6 @@ class GeometryFeeder : public SimObject
     uint64_t _culled = 0;
     uint64_t _blockedCycles = 0;
     uint64_t _fragmentsRerouted = 0;
-    Tick _finishTime = 0;
 };
 
 } // namespace texdist

@@ -1,9 +1,11 @@
 #include "core/machine.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <iomanip>
 #include <sstream>
 
+#include "core/metrics.hh"
 #include "sim/logging.hh"
 
 namespace texdist
@@ -131,24 +133,17 @@ ParallelMachine::armFaults()
         std::function<void()> recover;
         switch (fault.kind) {
           case FaultKind::SlowNode:
-            strike = [this, victim, fault] {
-                ++faultStats.injected;
-                victim->setSlowdown(fault.factor);
-            };
+            strike = [victim, fault] { victim->setSlowdown(fault.factor); };
             if (fault.duration > 0)
                 recover = [victim] { victim->setSlowdown(1); };
             break;
           case FaultKind::BusStall:
-            strike = [this, victim, fault, end] {
-                ++faultStats.injected;
+            strike = [victim, fault, end] {
                 victim->stallBus(fault.at, end);
             };
             break;
           case FaultKind::FifoFreeze:
-            strike = [this, victim] {
-                ++faultStats.injected;
-                victim->freezeFifo();
-            };
+            strike = [victim] { victim->freezeFifo(); };
             // The feeder may be blocked on the frozen FIFO with no
             // other event to wake it, so recovery must nudge it.
             recover = [this, victim] {
@@ -157,15 +152,20 @@ ParallelMachine::armFaults()
             };
             break;
           case FaultKind::KillNode:
-            strike = [this, fault] {
-                ++faultStats.injected;
-                killNode(fault.victim, "fault plan");
-            };
+            strike = [this, fault] { killNode(fault.victim, "fault plan"); };
             break;
         }
 
-        auto ev = std::make_unique<LambdaEvent>(std::move(strike),
-                                                "fault strike");
+        // A strike after the frame is over touches nothing, so it
+        // is neither applied nor counted.
+        auto ev = std::make_unique<LambdaEvent>(
+            [this, strike = std::move(strike)] {
+                if (frameOver())
+                    return;
+                ++faultStats.injected;
+                strike();
+            },
+            "fault strike");
         eq.schedule(ev.get(), fault.at);
         faultEvents.push_back(std::move(ev));
         if (recover && fault.duration > 0) {
@@ -186,6 +186,17 @@ ParallelMachine::workRemains() const
         if (!node->isDead() && node->fifoOccupancy() > 0)
             return true;
     return false;
+}
+
+bool
+ParallelMachine::frameOver() const
+{
+    if (workRemains())
+        return false;
+    for (const auto &node : nodes)
+        if (!node->isDead() && node->finishTime() > eq.curTick())
+            return false;
+    return true;
 }
 
 uint32_t
@@ -354,14 +365,6 @@ ParallelMachine::run()
     return out;
 }
 
-void
-ParallelMachine::dumpStats(std::ostream &os) const
-{
-    feeder_->dumpStats(os);
-    for (const auto &node : nodes)
-        node->dumpStats(os);
-}
-
 // texlint: phase(serial) builds and runs a whole event-driven
 // machine; must only be called from serial code (or an isolated
 // sweep task that owns its private universe)
@@ -375,18 +378,20 @@ runFrame(const Scene &scene, const MachineConfig &config)
 void
 FrameResult::print(std::ostream &os) const
 {
-    os << "frame time:        " << frameTime << " cycles\n"
-       << "fragments drawn:   " << totalPixels << "\n"
-       << "triangles:         " << trianglesDispatched << "\n"
-       << "texels fetched:    " << totalTexelsFetched << "\n"
-       << std::fixed << std::setprecision(3)
-       << "texel/fragment:    " << texelToFragmentRatio << "\n"
-       << std::setprecision(1)
-       << "pixel imbalance:   " << pixelImbalancePercent << " %\n"
-       << "time imbalance:    " << timeImbalancePercent << " %\n"
-       << std::setprecision(2)
-       << "mean bus util:     " << meanBusUtilization << "\n"
-       << "fifo high water:   " << fifoMaxOccupancy << "\n";
+    // Reals leave the stream fixed at their precision, as callers'
+    // follow-on lines (texdist_sim's speedup) have always seen it.
+    for (const Metric &m : metricTable()) {
+        if (!m.frame || !m.label)
+            continue;
+        os << m.label << ':'
+           << std::string(18 - std::strlen(m.label), ' ');
+        const MetricValue v = m.frame(*this);
+        if (v.kind == MetricKind::Real)
+            os << std::fixed << std::setprecision(m.precision) << v.real;
+        else
+            os << v.count;
+        os << m.suffix << "\n";
+    }
     if (degraded || failed || faultStats.injected > 0) {
         os << "faults injected:   " << faultStats.injected << "\n"
            << "degraded:          " << (degraded ? "yes" : "no")

@@ -177,9 +177,6 @@ class ParallelMachine
     uint32_t numNodes() const { return uint32_t(nodes.size()); }
     const GeometryFeeder &feeder() const { return *feeder_; }
 
-    /** Dump every component's statistics (gem5-style lines). */
-    void dumpStats(std::ostream &os) const;
-
     /**
      * Declare a node dead and redistribute its queued work to the
      * survivors (public so tests can exercise degradation directly;
@@ -193,6 +190,9 @@ class ParallelMachine
 
     /** True while triangles remain undispatched or queued. */
     bool workRemains() const;
+
+    /** No work remains and every live node has finished by now. */
+    bool frameOver() const;
 
     /**
      * The queue drained with work remaining: a FIFO refuses forever.

@@ -11,21 +11,10 @@
 namespace texdist
 {
 
-namespace
-{
-
-std::string
-nodeName(uint32_t id)
-{
-    return "node" + std::to_string(id);
-}
-
-} // namespace
-
 TextureNode::TextureNode(uint32_t id, const MachineConfig &config,
                          const TextureManager &textures_,
                          EventQueue &eq_)
-    : SimObject(nodeName(id), eq_), nodeId(id), cfg(config),
+    : nodeId(id), eq(eq_), cfg(config),
       textures(textures_),
       cache_(config.hasL2 && config.cacheKind == CacheKind::SetAssoc
                  ? std::make_unique<TwoLevelCache>(config.cacheGeom,
@@ -37,18 +26,6 @@ TextureNode::TextureNode(uint32_t id, const MachineConfig &config,
     if (!cfg.infiniteBus)
         bus_ = std::make_unique<TextureBus>(cfg.busTexelsPerCycle);
     retireRing.assign(std::max(1u, cfg.prefetchQueueDepth), 0);
-
-    _stats.addStat("pixels", "fragments drawn", _pixelsDrawn);
-    _stats.addStat("triangles", "triangles received",
-                   _trianglesReceived);
-    _stats.addStat("setup_bound", "setup-engine-bound triangles",
-                   _setupBound);
-    _stats.addStat("stall_cycles", "prefetch-queue stall cycles",
-                   _stallCycles);
-    _stats.addStat("idle_cycles", "cycles starved for triangles",
-                   _idleCycles);
-    _stats.addStat("triangle_pixels",
-                   "pixels per received triangle", trianglePixels);
 }
 
 void
@@ -60,7 +37,7 @@ TextureNode::enqueue(TriangleWork &&work)
     if (!workEvent.scheduled()) {
         // The node was idle: it can start this triangle as soon as
         // its scan engine is free (which may be in the past).
-        eventq().schedule(&workEvent, std::max(curTick(), cpuTime));
+        eq.schedule(&workEvent, std::max(eq.curTick(), cpuTime));
     }
 }
 
@@ -71,7 +48,7 @@ TextureNode::forceEnqueue(TriangleWork &&work)
         texdist_panic(name(), ": forceEnqueue to a dead node");
     fifo.forcePush(std::move(work));
     if (!workEvent.scheduled())
-        eventq().schedule(&workEvent, std::max(curTick(), cpuTime));
+        eq.schedule(&workEvent, std::max(eq.curTick(), cpuTime));
 }
 
 void
@@ -100,7 +77,7 @@ void
 TextureNode::cancelPending()
 {
     if (workEvent.scheduled())
-        eventq().deschedule(&workEvent);
+        eq.deschedule(&workEvent);
 }
 
 void
@@ -234,7 +211,7 @@ TextureNode::runTriangle(TextureId tex, const NodeFragment *frags,
 void
 TextureNode::processNext()
 {
-    Tick start = curTick();
+    Tick start = eq.curTick();
 
     TriangleWork work = fifo.pop();
     if (feeder)
@@ -244,7 +221,7 @@ TextureNode::processNext()
                 start);
 
     if (!fifo.empty())
-        eventq().schedule(&workEvent, cpuTime);
+        eq.schedule(&workEvent, cpuTime);
 }
 
 // texlint: phase(parallel) runs inside a drain task that owns this
@@ -433,10 +410,9 @@ TextureNode::unserialize(CheckpointReader &r)
         bus_->unserialize(r);
 
     if (workEvent.scheduled())
-        eventq().deschedule(&workEvent);
+        eq.deschedule(&workEvent);
     if (!fifo.empty() && !_dead)
-        eventq().schedule(&workEvent,
-                          std::max(curTick(), cpuTime));
+        eq.schedule(&workEvent, std::max(eq.curTick(), cpuTime));
 }
 
 } // namespace texdist

@@ -30,8 +30,9 @@
 #include "core/config.hh"
 #include "core/coverage.hh"
 #include "mem/bus.hh"
+#include "sim/eventq.hh"
 #include "sim/fifo.hh"
-#include "sim/sim_object.hh"
+#include "sim/stats.hh"
 #include "texture/manager.hh"
 
 namespace texdist
@@ -58,7 +59,7 @@ struct TriangleWork
 
 /** A texture-mapping engine plus its cache, bus and triangle FIFO. */
 // texlint: owned-by-task
-class TextureNode : public SimObject
+class TextureNode
 {
   public:
     TextureNode(uint32_t id, const MachineConfig &config,
@@ -68,6 +69,9 @@ class TextureNode : public SimObject
     void setFeeder(GeometryFeeder *f) { feeder = f; }
 
     uint32_t id() const { return nodeId; }
+
+    /** "node<id>", for diagnostics and the stats file. */
+    std::string name() const { return "node" + std::to_string(nodeId); }
 
     /**
      * Free entries in the triangle FIFO. A frozen or dead node
@@ -298,6 +302,8 @@ class TextureNode : public SimObject
                        size_t count, Tick start);
 
     uint32_t nodeId;
+    // texlint: allow(checkpoint) wiring, the machine's queue
+    EventQueue &eq;
     // texlint: allow(checkpoint) construction state; restore validates
     // the prefetch ring against it
     MachineConfig cfg;

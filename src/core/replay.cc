@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "core/json.hh"
+#include "core/metrics.hh"
 #include "io/vfs.hh"
 #include "sim/checkpoint.hh"
 #include "sim/logging.hh"
@@ -174,48 +175,19 @@ RunManifest::fromJsonText(const std::string &text,
     }
 }
 
-void
-frameCsvHeader(CsvWriter &csv)
-{
-    csv.header({"frame", "cycles", "pixels", "texels_fetched",
-                "triangles", "texel_fragment_ratio", "imbalance_pct",
-                "bus_util", "faults_injected", "degraded", "failed",
-                "digest"});
-}
-
-void
-frameCsvRow(CsvWriter &csv, uint32_t frame, const FrameResult &r,
-            uint64_t digest)
-{
-    csv.beginRow(std::to_string(frame));
-    csv.value(std::to_string(r.frameTime));
-    csv.value(std::to_string(r.totalPixels));
-    csv.value(std::to_string(r.totalTexelsFetched));
-    csv.value(std::to_string(r.trianglesDispatched));
-    csv.value(r.texelToFragmentRatio);
-    csv.value(r.pixelImbalancePercent);
-    csv.value(r.meanBusUtilization);
-    csv.value(std::to_string(r.faultStats.injected));
-    csv.value(std::to_string(uint64_t(r.degraded)));
-    csv.value(std::to_string(uint64_t(r.failed)));
-    csv.value(digestHex(digest));
-    csv.endRow();
-}
-
 namespace
 {
 
-/** The exact header frameCsvHeader() writes, in column order. */
-constexpr const char *frameCsvColumns[] = {
-    "frame",         "cycles",
-    "pixels",        "texels_fetched",
-    "triangles",     "texel_fragment_ratio",
-    "imbalance_pct", "bus_util",
-    "faults_injected", "degraded",
-    "failed",        "digest",
-};
-constexpr size_t frameCsvColumnCount =
-    sizeof(frameCsvColumns) / sizeof(frameCsvColumns[0]);
+/** The result-CSV header: "frame", the table's columns, "digest". */
+std::vector<std::string>
+csvHeader()
+{
+    std::vector<std::string> out{"frame"};
+    for (const Metric *m : csvMetrics())
+        out.emplace_back(m->csvColumn);
+    out.emplace_back("digest");
+    return out;
+}
 
 [[noreturn]] void
 csvFail(ParseRule rule, const std::string &msg, uint64_t offset,
@@ -308,6 +280,8 @@ splitCsvLine(const std::string &line, uint64_t lineOffset,
 std::vector<FrameCsvRow>
 parseFrameCsv(const std::string &text)
 {
+    const std::vector<std::string> columns = csvHeader();
+    const std::vector<const Metric *> metrics = csvMetrics();
     std::vector<FrameCsvRow> rows;
     std::vector<std::string> cells;
     std::vector<uint64_t> offsets;
@@ -335,65 +309,56 @@ parseFrameCsv(const std::string &text)
             continue;
 
         splitCsvLine(line, lineOffset, cells, offsets);
-        if (cells.size() != frameCsvColumnCount)
+        if (cells.size() != columns.size())
             csvFail(ParseRule::Mismatch,
-                    "expected " +
-                        std::to_string(frameCsvColumnCount) +
+                    "expected " + std::to_string(columns.size()) +
                         " columns, got " +
                         std::to_string(cells.size()),
                     lineOffset, row, nullptr);
 
         if (!sawHeader) {
-            for (size_t c = 0; c < frameCsvColumnCount; ++c)
-                if (cells[c] != frameCsvColumns[c])
+            for (size_t c = 0; c < columns.size(); ++c)
+                if (cells[c] != columns[c])
                     csvFail(ParseRule::Magic,
                             "bad header: expected column '" +
-                                std::string(frameCsvColumns[c]) +
-                                "', got '" + cells[c] + "'",
-                            offsets[c], -1, frameCsvColumns[c]);
+                                columns[c] + "', got '" + cells[c] +
+                                "'",
+                            offsets[c], -1, columns[c].c_str());
             sawHeader = true;
             row = 0;
             continue;
         }
 
         FrameCsvRow r;
-        uint64_t frame =
-            csvU64(cells[0], offsets[0], row, frameCsvColumns[0]);
+        uint64_t frame = csvU64(cells[0], offsets[0], row, "frame");
         if (frame > 0xffffffffull)
             csvFail(ParseRule::Range,
                     "frame number out of range: '" + cells[0] + "'",
-                    offsets[0], row, frameCsvColumns[0]);
+                    offsets[0], row, "frame");
         r.frame = uint32_t(frame);
         if (!rows.empty() && r.frame <= rows.back().frame)
             csvFail(ParseRule::Mismatch,
                     "frame numbers must be strictly increasing (" +
                         std::to_string(rows.back().frame) +
                         " then " + std::to_string(r.frame) + ")",
-                    offsets[0], row, frameCsvColumns[0]);
-        r.cycles =
-            csvU64(cells[1], offsets[1], row, frameCsvColumns[1]);
-        r.pixels =
-            csvU64(cells[2], offsets[2], row, frameCsvColumns[2]);
-        r.texelsFetched =
-            csvU64(cells[3], offsets[3], row, frameCsvColumns[3]);
-        r.triangles =
-            csvU64(cells[4], offsets[4], row, frameCsvColumns[4]);
-        r.texelFragmentRatio =
-            csvF64(cells[5], offsets[5], row, frameCsvColumns[5]);
-        r.imbalancePct =
-            csvF64(cells[6], offsets[6], row, frameCsvColumns[6]);
-        r.busUtil =
-            csvF64(cells[7], offsets[7], row, frameCsvColumns[7]);
-        r.faultsInjected =
-            csvU64(cells[8], offsets[8], row, frameCsvColumns[8]);
-        r.degraded =
-            csvBool(cells[9], offsets[9], row, frameCsvColumns[9]);
-        r.failed = csvBool(cells[10], offsets[10], row,
-                           frameCsvColumns[10]);
+                    offsets[0], row, "frame");
+        size_t c = 1;
+        for (const Metric *m : metrics) {
+            // An accessor's kind does not depend on the frame it reads.
+            MetricValue v = m->frame(FrameResult());
+            if (v.kind == MetricKind::Real)
+                v.real = csvF64(cells[c], offsets[c], row, m->csvColumn);
+            else if (v.kind == MetricKind::Flag)
+                v.count = csvBool(cells[c], offsets[c], row, m->csvColumn);
+            else
+                v.count = csvU64(cells[c], offsets[c], row, m->csvColumn);
+            m->parsed(r, v);
+            ++c;
+        }
         try {
-            r.digest = digestFromHex(cells[11], ParseSurface::Csv);
+            r.digest = digestFromHex(cells[c], ParseSurface::Csv);
         } catch (ParseError &e) {
-            throw e.at(offsets[11]).record(row);
+            throw e.at(offsets[c]).record(row);
         }
         rows.push_back(r);
         ++row;
@@ -402,6 +367,28 @@ parseFrameCsv(const std::string &text)
 }
 
 } // namespace
+
+void
+frameCsvHeader(CsvWriter &csv)
+{
+    csv.header(csvHeader());
+}
+
+void
+frameCsvRow(CsvWriter &csv, uint32_t frame, const FrameResult &r,
+            uint64_t digest)
+{
+    csv.beginRow(std::to_string(frame));
+    for (const Metric *m : csvMetrics()) {
+        const MetricValue v = m->frame(r);
+        if (v.kind == MetricKind::Real)
+            csv.value(v.real);
+        else
+            csv.value(std::to_string(v.count));
+    }
+    csv.value(digestHex(digest));
+    csv.endRow();
+}
 
 std::vector<FrameCsvRow>
 parseFrameCsvText(const std::string &text, const std::string &what)

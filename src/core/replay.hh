@@ -86,10 +86,10 @@ uint64_t digestFromHex(const std::string &hex,
                        ParseSurface surface = ParseSurface::Json);
 
 /**
- * The per-frame result-CSV row format shared by the simulator driver
- * and the in-process sweep runner: both must emit byte-identical
- * rows, or an in-process sweep would not be resumable by a
- * subprocess sweep (and vice versa).
+ * The per-frame result CSV: a "frame" column, the metric table's
+ * result-CSV columns (core/metrics.hh) in order, and the frame's
+ * digestHex(). Sweeps merge and resume from these rows, so they are
+ * byte-stable.
  */
 void frameCsvHeader(CsvWriter &csv);
 void frameCsvRow(CsvWriter &csv, uint32_t frame,
@@ -118,7 +118,7 @@ struct FrameCsvRow
 /**
  * Strict parser for the per-frame result CSV a sweep merges and
  * publishes: the header must match frameCsvHeader() exactly, every row
- * needs all 12 columns with strictly-parsed numerics, a 16-hex-digit
+ * needs every column with strictly-parsed numerics, a 16-hex-digit
  * digest, and strictly increasing frame numbers. Malformed input
  * throws ParseError (surface: csv, exit code 9) carrying the byte
  * offset, row index and column name — a merge made from a

@@ -18,7 +18,22 @@ nodeLabel(size_t i)
     return "node" + std::to_string(i);
 }
 
+constexpr const char *checkNames[] = {
+    "coverage",           "pixel coverage",
+    "fragment conservation", "texel conservation",
+    "cache accounting",   "fifo bound",
+    "frame time",         "queue conservation",
+    "bus conservation",   "cache structure",
+    "cache inclusion",    "shadow divergence",
+};
+
 } // namespace
+
+std::span<const char *const>
+oracleCheckNames()
+{
+    return checkNames;
+}
 
 OracleEngine::OracleEngine(const MachineConfig &config,
                            OracleMode mode)

@@ -41,6 +41,7 @@
 #define TEXDIST_ORACLE_ORACLE_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,13 @@
 
 namespace texdist
 {
+
+/**
+ * The names of the oracle's checks. Every violation message starts
+ * with one; the metric table (core/metrics.hh) names the check that
+ * guards each metric from this list.
+ */
+std::span<const char *const> oracleCheckNames();
 
 /** Frame-boundary invariant checker for one machine's nodes. */
 class OracleEngine

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 
 #include "core/error.hh"
-#include "sim/logging.hh"
 
 namespace texdist
 {
@@ -112,75 +110,6 @@ Histogram::unserialize(CheckpointReader &r)
     totalSq = r.f64();
     lo = r.f64();
     hi = r.f64();
-}
-
-void
-StatGroup::addStat(const std::string &stat, const std::string &desc,
-                   const Counter &counter)
-{
-    Entry e;
-    e.stat = stat;
-    e.desc = desc;
-    e.counter = &counter;
-    entries.push_back(e);
-}
-
-void
-StatGroup::addStat(const std::string &stat, const std::string &desc,
-                   const uint64_t &value)
-{
-    Entry e;
-    e.stat = stat;
-    e.desc = desc;
-    e.intValue = &value;
-    entries.push_back(e);
-}
-
-void
-StatGroup::addStat(const std::string &stat, const std::string &desc,
-                   const double &value)
-{
-    Entry e;
-    e.stat = stat;
-    e.desc = desc;
-    e.floatValue = &value;
-    entries.push_back(e);
-}
-
-void
-StatGroup::addStat(const std::string &stat, const std::string &desc,
-                   const Histogram &histogram)
-{
-    Entry e;
-    e.stat = stat;
-    e.desc = desc;
-    e.histogram = &histogram;
-    entries.push_back(e);
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    auto line = [&](const std::string &stat, auto value,
-                    const std::string &desc) {
-        os << std::left << std::setw(40) << (_name + "." + stat)
-           << " " << std::setw(16) << value << " # " << desc << "\n";
-    };
-    for (const Entry &e : entries) {
-        if (e.counter) {
-            line(e.stat, e.counter->value(), e.desc);
-        } else if (e.intValue) {
-            line(e.stat, *e.intValue, e.desc);
-        } else if (e.floatValue) {
-            line(e.stat, *e.floatValue, e.desc);
-        } else {
-            line(e.stat + "::count", e.histogram->count(), e.desc);
-            line(e.stat + "::mean", e.histogram->mean(), e.desc);
-            line(e.stat + "::p95", e.histogram->quantile(0.95),
-                 e.desc);
-            line(e.stat + "::max", e.histogram->maxValue(), e.desc);
-        }
-    }
 }
 
 } // namespace texdist

@@ -1,9 +1,9 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters and
- * histograms grouped per simulation object, with a table dump —
- * the reporting layer every model (cache, bus, node, machine) hangs
- * its measurements on.
+ * Histograms of sampled simulation quantities: per-triangle pixel
+ * counts on each node (checkpointed with it) and the feeder's FIFO
+ * occupancy at dispatch. Their summaries reach the stats file
+ * through the metric table in core/metrics.hh.
  */
 
 #ifndef TEXDIST_SIM_STATS_HH
@@ -11,32 +11,12 @@
 
 #include <cstdint>
 #include <limits>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "sim/checkpoint.hh"
 
 namespace texdist
 {
-
-/**
- * A running scalar statistic (count / sum style).
- */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    Counter &operator++() { ++_value; return *this; }
-    Counter &operator+=(uint64_t v) { _value += v; return *this; }
-
-    uint64_t value() const { return _value; }
-    void reset() { _value = 0; }
-
-  private:
-    uint64_t _value = 0;
-};
 
 /**
  * A sampled distribution: running count, sum, min, max and mean plus
@@ -87,55 +67,6 @@ class Histogram
     double totalSq = 0.0;
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * A named collection of statistics that can print itself. Models
- * register name/description/value triples; values are read through
- * callbacks so dumping always reflects current state.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : _name(std::move(name)) {}
-
-    /** Register a counter by reference. */
-    void addStat(const std::string &stat, const std::string &desc,
-                 const Counter &counter);
-
-    /** Register a plain uint64_t by reference. */
-    void addStat(const std::string &stat, const std::string &desc,
-                 const uint64_t &value);
-
-    /** Register a plain double by reference. */
-    void addStat(const std::string &stat, const std::string &desc,
-                 const double &value);
-
-    /**
-     * Register a histogram; dumps count, mean, p95 and max as
-     * separate lines.
-     */
-    void addStat(const std::string &stat, const std::string &desc,
-                 const Histogram &histogram);
-
-    const std::string &name() const { return _name; }
-
-    /** Write "group.stat  value  # desc" lines. */
-    void dump(std::ostream &os) const;
-
-  private:
-    struct Entry
-    {
-        std::string stat;
-        std::string desc;
-        const Counter *counter = nullptr;
-        const uint64_t *intValue = nullptr;
-        const double *floatValue = nullptr;
-        const Histogram *histogram = nullptr;
-    };
-
-    std::string _name;
-    std::vector<Entry> entries;
 };
 
 } // namespace texdist

@@ -301,6 +301,58 @@ TEST(Fault, KillNodeDeterministicAcrossRuns)
     }
 }
 
+TEST(Fault, LateStrikesLeaveTheFrameUntouched)
+{
+    // A strike after every node finished touches nothing: the frame
+    // keeps its fault-free digest and counts no fault.
+    Scene scene = makeBenchmark("quake", 0.25);
+    MachineConfig clean;
+    clean.numProcs = 4;
+    FrameResult base = runFrame(scene, clean);
+    const uint64_t want = digestFrame(base);
+
+    const std::string at_end = std::to_string(base.frameTime);
+    for (const std::string &spec : std::vector<std::string>{
+             "kill-node:3,at=100000000", "slow-node:3,at=100000000,x=8",
+          "bus-stall:3,at=100000000,for=500",
+          "fifo-freeze:3,at=100000000,for=500", "kill-node:3,at=" + at_end,
+          "slow-node:3,at=" + at_end + ",x=8"}) {
+        MachineConfig cfg = clean;
+        cfg.faults.add(spec);
+        FrameResult r = runFrame(scene, cfg);
+        EXPECT_EQ(digestFrame(r), want) << spec;
+        EXPECT_EQ(r.faultStats.injected, 0u) << spec;
+        EXPECT_FALSE(r.degraded) << spec;
+        std::ostringstream os;
+        r.print(os);
+        EXPECT_EQ(os.str().find("faults injected"), std::string::npos)
+            << spec;
+    }
+}
+
+TEST(Fault, StrikesInsideTheFrameStillCount)
+{
+    // One tick before the last node finishes, that node is still
+    // busy, so the frame is not over and the strike counts.
+    Scene scene = makeBenchmark("quake", 0.25);
+    MachineConfig clean;
+    clean.numProcs = 4;
+    FrameResult base = runFrame(scene, clean);
+    const std::string before_end = std::to_string(base.frameTime - 1);
+    for (const std::string &spec : std::vector<std::string>{
+             "kill-node:3,at=2000", "slow-node:3,at=2000,x=8",
+          "slow-node:0,at=" + before_end + ",x=8",
+          "slow-node:1,at=" + before_end + ",x=8",
+          "slow-node:2,at=" + before_end + ",x=8",
+          "slow-node:3,at=" + before_end + ",x=8"}) {
+        MachineConfig cfg = clean;
+        cfg.faults.add(spec);
+        FrameResult r = runFrame(scene, cfg);
+        EXPECT_EQ(r.faultStats.injected, 1u) << spec;
+        EXPECT_NE(digestFrame(r), digestFrame(base)) << spec;
+    }
+}
+
 TEST(Fault, KillOnlyNodeFailsFrame)
 {
     Scene scene = quadScene(64, 0, 0, 40, 40);

@@ -9,6 +9,7 @@
 #include "cache/cache.hh"
 #include "core/error.hh"
 #include "core/machine.hh"
+#include "core/metrics.hh"
 #include "core/options.hh"
 #include "core/sequence.hh"
 #include "geom/rng.hh"
@@ -248,6 +249,48 @@ TEST(OracleLedger, DegradedFramesAndSortLastSkipTheirChecks)
                   },
                   false),
               "");
+}
+
+TEST(OracleLedger, EveryCheckTheMetricTableNamesIsReported)
+{
+    // One planted corruption per check a metric names: the oracle
+    // must report a violation line that starts with that name.
+    struct Case
+    {
+        const char *check;
+        void (*corrupt)(FrameResult &);
+    };
+    const Case cases[] = {
+        {"frame time",
+         [](FrameResult &r) { r.frameTime = latestFinish(r) + 1; }},
+        {"fragment conservation",
+         [](FrameResult &r) { ++r.totalPixels; }},
+        {"texel conservation",
+         [](FrameResult &r) { ++r.totalTexelsFetched; }},
+        {"pixel coverage",
+         [](FrameResult &r) {
+             ++r.nodes[0].pixels;
+             --r.nodes[1].pixels;
+         }},
+        {"fifo bound",
+         [](FrameResult &r) { r.fifoMaxOccupancy = 10001; }},
+    };
+    for (const Metric &m : metricTable()) {
+        if (std::string(m.check) == "none")
+            continue;
+        const Case *c = std::find_if(
+            std::begin(cases), std::end(cases), [&](const Case &k) {
+                return std::string(k.check) == m.check;
+            });
+        ASSERT_NE(c, std::end(cases))
+            << m.name << " names \"" << m.check
+            << "\", which no case here plants";
+        std::string got = ledgerViolations(c->corrupt);
+        EXPECT_NE(got.find(std::string("\n  ") + m.check),
+                  std::string::npos)
+            << m.name << ": wanted a \"" << m.check
+            << "\" line in:\n" << got;
+    }
 }
 
 TEST(Shadow, CleanCacheNeverDiverges)

@@ -1,6 +1,4 @@
-/** @file Unit tests for the statistics package. */
-
-#include <sstream>
+/** @file Unit tests for the histogram. */
 
 #include <gtest/gtest.h>
 
@@ -10,17 +8,6 @@ namespace texdist
 {
 namespace
 {
-
-TEST(Counter, IncrementAndAdd)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 10;
-    EXPECT_EQ(c.value(), 11u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(Histogram, EmptyStats)
 {
@@ -77,56 +64,6 @@ TEST(Histogram, ResetClearsEverything)
     EXPECT_EQ(h.mean(), 0.0);
     h.add(4.0);
     EXPECT_DOUBLE_EQ(h.mean(), 4.0);
-}
-
-TEST(StatGroup, DumpFormatsRegisteredStats)
-{
-    StatGroup group("cache0");
-    Counter hits;
-    uint64_t lines = 7;
-    double rate = 0.25;
-    group.addStat("hits", "cache hits", hits);
-    group.addStat("lines", "lines fetched", lines);
-    group.addStat("rate", "miss rate", rate);
-    ++hits;
-    ++hits;
-
-    std::ostringstream os;
-    group.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("cache0.hits"), std::string::npos);
-    EXPECT_NE(out.find("2"), std::string::npos);
-    EXPECT_NE(out.find("cache0.lines"), std::string::npos);
-    EXPECT_NE(out.find("# miss rate"), std::string::npos);
-}
-
-TEST(StatGroup, HistogramDumpsSummaryLines)
-{
-    StatGroup group("node0");
-    Histogram h(1.0, 32);
-    group.addStat("tri_px", "pixels per triangle", h);
-    for (double v : {2.0, 4.0, 6.0, 8.0})
-        h.add(v);
-    std::ostringstream os;
-    group.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("node0.tri_px::count"), std::string::npos);
-    EXPECT_NE(out.find("node0.tri_px::mean"), std::string::npos);
-    EXPECT_NE(out.find("node0.tri_px::p95"), std::string::npos);
-    EXPECT_NE(out.find("node0.tri_px::max"), std::string::npos);
-    EXPECT_NE(out.find("5"), std::string::npos); // mean
-}
-
-TEST(StatGroup, ValuesReadLive)
-{
-    // Dumps reflect the value at dump time, not registration time.
-    StatGroup group("g");
-    uint64_t v = 0;
-    group.addStat("v", "", v);
-    v = 123456;
-    std::ostringstream os;
-    group.dump(os);
-    EXPECT_NE(os.str().find("123456"), std::string::npos);
 }
 
 } // namespace

@@ -38,6 +38,7 @@
 #include "core/error.hh"
 #include "core/experiments.hh"
 #include "core/interframe.hh"
+#include "core/metrics.hh"
 #include "core/options.hh"
 #include "core/replay.hh"
 #include "core/sequence.hh"
@@ -349,7 +350,7 @@ runSingle(const SimOptions &opts, const Scene &scene)
         os << "# texdist_sim statistics\n";
         os << "# workload " << scene.name << "\n";
         os << "# machine " << opts.machine.describe() << "\n";
-        machine.dumpStats(os);
+        writeMachineStats(os, machine);
         io::writeFileAtomic(opts.statsFile, os.str());
         std::cout << "stats written to " << opts.statsFile << "\n";
     }
@@ -405,6 +406,11 @@ run(int argc, char **argv)
     if (sequence_mode) {
         if (!opts.statsFile.empty())
             texdist_fatal("--stats-file is not supported in "
+                          "multi-frame runs");
+        // Sequences reject fifo-freeze, the one fault that can
+        // deadlock a frame, so a deadlock policy would do nothing.
+        if (opts.machine.watchdogPolicy == WatchdogPolicy::Degrade)
+            texdist_fatal("--watchdog=degrade is not supported in "
                           "multi-frame runs");
         return runSequence(opts, scene);
     }
