@@ -108,12 +108,6 @@ struct MachineConfig
     uint32_t prefetchQueueDepth = 64;
 
     /**
-     * Geometry stage dispatch rate in triangles per cycle;
-     * 0 means unlimited (the paper's ideal geometry stage).
-     */
-    double geometryTrianglesPerCycle = 0.0;
-
-    /**
      * Structured geometry-stage model (the factor the paper's
      * Section 2.3 lists first and then idealizes): the number of
      * parallel geometry processors, each spending

@@ -1,7 +1,6 @@
 #include "core/feeder.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "raster/raster.hh"
 
@@ -12,8 +11,7 @@ GeometryFeeder::GeometryFeeder(
     const Scene &scene_, const Distribution &dist_,
     std::vector<std::unique_ptr<TextureNode>> &nodes_,
     EventQueue &eq_, const MachineConfig &config)
-    : eq(eq_), scene(scene_), dist(dist_),
-      nodes(nodes_), rate(config.geometryTrianglesPerCycle),
+    : eq(eq_), scene(scene_), dist(dist_), nodes(nodes_),
       geomProcs(config.geometryProcs),
       geomCycles(config.geometryCyclesPerTriangle),
       dispatchEvent(*this)
@@ -22,17 +20,16 @@ GeometryFeeder::GeometryFeeder(
         geomEngineFree.assign(geomProcs, 0);
     buckets.resize(dist.numProcs());
     alive.assign(dist.numProcs(), true);
+    for (uint32_t p = 0; p < dist.numProcs(); ++p)
+        ports.push_back(std::make_unique<Port>(
+            *this, p, config.triangleBufferSize));
 }
 
 void
-GeometryFeeder::start(Tick when)
+GeometryFeeder::start()
 {
-    lastRateTick = when;
-    if (geomProcs > 0)
-        std::fill(geomEngineFree.begin(), geomEngineFree.end(),
-                  when);
     if (!done())
-        eq.schedule(&dispatchEvent, when);
+        eq.schedule(&dispatchEvent, eq.curTick());
 }
 
 void
@@ -45,12 +42,82 @@ GeometryFeeder::notifySpaceFreed()
     }
 }
 
+bool
+GeometryFeeder::workRemains() const
+{
+    if (!done())
+        return true;
+    for (size_t p = 0; p < ports.size(); ++p)
+        if (alive[p] && !ports[p]->fifo.empty())
+            return true;
+    return false;
+}
+
 void
+GeometryFeeder::thaw(uint32_t p)
+{
+    ports[p]->frozen = false;
+    // The dispatch may be blocked on this FIFO with no other event
+    // to wake it.
+    notifySpaceFreed();
+}
+
+void
+GeometryFeeder::push(uint32_t p, TriangleWork &&work, bool force)
+{
+    Port &port = *ports[p];
+    if (force)
+        port.fifo.forcePush(std::move(work));
+    else
+        port.fifo.push(std::move(work));
+    TextureNode &node = *nodes[p];
+    node.noteFifoHighWater(port.fifo.size());
+    if (!port.work.scheduled())
+        eq.schedule(&port.work, node.nextStart(eq.curTick()));
+}
+
+void
+GeometryFeeder::runNode(uint32_t p)
+{
+    Port &port = *ports[p];
+    TriangleWork work = port.fifo.pop();
+    notifySpaceFreed();
+
+    // The event fires at or after the node's scan-free time, so the
+    // triangle starts now.
+    TextureNode &node = *nodes[p];
+    node.consumeDirect(eq.curTick(), work.tex, work.frags.data(),
+                       work.frags.size());
+
+    if (!port.fifo.empty())
+        eq.schedule(&port.work, node.nextStart(eq.curTick()));
+}
+
+size_t
 GeometryFeeder::markDead(uint32_t dead)
 {
     if (dead >= alive.size())
         texdist_panic("markDead: node ", dead, " out of range");
     alive[dead] = false;
+    Port &port = *ports[dead];
+    if (port.work.scheduled())
+        eq.deschedule(&port.work);
+
+    size_t moved = 0;
+    while (!port.fifo.empty()) {
+        TriangleWork work = port.fifo.pop();
+        size_t n = ports.size();
+        for (size_t step = 1; step <= n; ++step) {
+            size_t cand = (redistributeCursor + step) % n;
+            if (alive[cand]) {
+                redistributeCursor = cand;
+                push(uint32_t(cand), std::move(work), true);
+                ++moved;
+                break;
+            }
+        }
+    }
+    return moved;
 }
 
 void
@@ -59,6 +126,9 @@ GeometryFeeder::cancelPending()
     if (dispatchEvent.scheduled())
         eq.deschedule(&dispatchEvent);
     waiting = false;
+    for (const std::unique_ptr<Port> &port : ports)
+        if (port->work.scheduled())
+            eq.deschedule(&port->work);
 }
 
 uint32_t
@@ -113,7 +183,7 @@ GeometryFeeder::tryDispatchOne()
     // Strict ordering: the triangle goes to all its destinations or
     // to none; a single full FIFO stalls the whole geometry stream.
     for (uint32_t d : dests) {
-        if (!nodes[d]->fifoHasSpace()) {
+        if (ports[d]->frozen || ports[d]->fifo.full()) {
             _blockedOn = int32_t(d);
             return false;
         }
@@ -157,12 +227,15 @@ GeometryFeeder::tryDispatchOne()
             folded = folded || dests[j] == d;
         if (folded)
             continue; // merged into the earlier bucket above
-        fifoOccupancy.add(double(nodes[d]->fifoOccupancy()));
-        TriangleWork work;
-        work.tex = tri.tex;
-        work.frags = std::move(buckets[targets[i]]);
-        buckets[targets[i]].clear();
-        nodes[d]->enqueue(std::move(work));
+        fifoOccupancy.add(double(ports[d]->fifo.size()));
+        // Copy, not move: the queued entry is sized to its fragments
+        // (a deep FIFO would otherwise hold every bucket's growth
+        // slack), and the bucket keeps its capacity for the next
+        // triangle.
+        std::vector<NodeFragment> &bucket = buckets[targets[i]];
+        push(d, TriangleWork{tri.tex, {bucket.begin(), bucket.end()}},
+             false);
+        bucket.clear();
     }
 
     ++_dispatched;
@@ -189,15 +262,6 @@ GeometryFeeder::computeArrival()
 void
 GeometryFeeder::dispatchLoop()
 {
-    if (rate > 0.0) {
-        // Finite aggregate rate: accumulate dispatch credit over the
-        // cycles elapsed since the last dispatch event.
-        Tick now = eq.curTick();
-        rateCredit += rate * double(now - lastRateTick);
-        rateCredit = std::min(rateCredit, std::max(1.0, rate));
-        lastRateTick = now;
-    }
-
     while (!done()) {
         if (!arrivalValid) {
             nextArrival = computeArrival();
@@ -208,11 +272,6 @@ GeometryFeeder::dispatchLoop()
             eq.schedule(&dispatchEvent, nextArrival);
             return;
         }
-        if (rate > 0.0 && rateCredit < 1.0) {
-            // Out of credit: try again next cycle.
-            eq.schedule(&dispatchEvent, eq.curTick() + 1);
-            return;
-        }
         size_t index = nextTriangle;
         if (!tryDispatchOne()) {
             waiting = true;
@@ -221,8 +280,6 @@ GeometryFeeder::dispatchLoop()
         }
         if (nextTriangle != index)
             arrivalValid = false;
-        if (rate > 0.0)
-            rateCredit -= 1.0;
     }
 }
 

@@ -153,7 +153,7 @@ TwoPhaseFrameEngine::fifoHighWater(const Lane &lane)
     // Replay the push/pop tick streams (both non-decreasing) with
     // pops winning ties — the freeing pop's notify precedes the
     // re-dispatch in the event engine — and track the occupancy
-    // after each push, which is when BoundedFifo::push samples it.
+    // after each push, which is when GeometryFeeder::push samples it.
     size_t pi = 0;
     size_t qi = 0;
     size_t hw = 0;
@@ -223,7 +223,6 @@ TwoPhaseFrameEngine::runFrame(
     // done and the event queue replaced by direct clock arithmetic;
     // see that function for the model being reproduced.
     FrameEngineResult res;
-    const double rate = cfg.geometryTrianglesPerCycle;
     const uint32_t geom_procs = cfg.geometryProcs;
     const Tick geom_cycles = cfg.geometryCyclesPerTriangle;
     const size_t capacity = cfg.triangleBufferSize;
@@ -231,18 +230,7 @@ TwoPhaseFrameEngine::runFrame(
     std::vector<Tick> engine_free(geom_procs, frame_start);
     size_t next_engine = 0;
     Tick next_arrival = 0;
-    double credit = 0.0;
-    Tick last_rate_tick = frame_start;
     Tick now = frame_start;
-
-    auto advance_to = [&](Tick to) {
-        if (rate > 0.0) {
-            credit += rate * double(to - last_rate_tick);
-            credit = std::min(credit, std::max(1.0, rate));
-            last_rate_tick = to;
-        }
-        now = to;
-    };
 
     for (size_t t = 0; t < ntris; ++t) {
         // Geometry stage: round-robin engine occupancy with monotone
@@ -252,15 +240,7 @@ TwoPhaseFrameEngine::runFrame(
             engine += geom_cycles;
             next_engine = (next_engine + 1) % geom_procs;
             next_arrival = std::max(next_arrival, engine);
-            if (now < next_arrival)
-                advance_to(next_arrival);
-        }
-        // Dispatch-rate credit, accrued cycle by cycle exactly as
-        // the event-driven feeder's one-cycle reschedule does (the
-        // clamp makes bulk accrual FP-inequivalent).
-        if (rate > 0.0) {
-            while (credit < 1.0)
-                advance_to(now + 1);
+            now = std::max(now, next_arrival);
         }
 
         const TriSlot &slot = slots[t];
@@ -269,8 +249,6 @@ TwoPhaseFrameEngine::runFrame(
                 ++res.degenerateTriangles;
             else
                 ++res.culledTriangles;
-            if (rate > 0.0)
-                credit -= 1.0;
             continue;
         }
 
@@ -302,8 +280,7 @@ TwoPhaseFrameEngine::runFrame(
                 was_blocked = true;
                 blocked_since = now;
             }
-            Tick s = consumeOne(lane, node);
-            advance_to(s);
+            now = consumeOne(lane, node);
             goto retry;
         }
         if (was_blocked)
@@ -316,8 +293,6 @@ TwoPhaseFrameEngine::runFrame(
                 entry.count});
         }
         ++res.trianglesDispatched;
-        if (rate > 0.0)
-            credit -= 1.0;
     }
 
     // --- Phase 2: drain every node's remaining stream (parallel,
@@ -327,18 +302,37 @@ TwoPhaseFrameEngine::runFrame(
         TextureNode &node = *nodes[p];
         while (lane.next < lane.stream.size())
             consumeOne(lane, node);
-        // Actions beyond the last pop (fault ticks after the node
-        // went idle) still fire: slowdown and bus-stall state
-        // persists into the next frame.
-        while (lane.nextAction < lane.actions.size()) {
-            applyAction(node, *lane.actions[lane.nextAction]);
-            ++lane.nextAction;
-        }
         node.noteFifoHighWater(fifoHighWater(lane));
     });
 
     for (const std::unique_ptr<TextureNode> &node : nodes)
         res.frameEnd = std::max(res.frameEnd, node->finishTime());
+
+    // Actions beyond a node's last start wait for the frame's end.
+    // A strike at or after it touches nothing and is not counted,
+    // and its recovery goes with it; every other action fires, and
+    // slowdown and bus-stall state persists into the next frame.
+    const Tick frame_end = std::max(frame_start, res.frameEnd);
+    std::vector<uint8_t> late(actions.size(), 0);
+    for (uint32_t p = 0; p < nprocs; ++p) {
+        Lane &lane = lanes[p];
+        for (; lane.nextAction < lane.actions.size(); ++lane.nextAction) {
+            const EngineFaultAction &action =
+                *lane.actions[lane.nextAction];
+            if (action.strikeIndex < 0 ? action.at >= frame_end
+                                       : late[action.strikeIndex])
+                late[&action - actions.data()] = 1;
+            else
+                applyAction(*nodes[p], action);
+        }
+    }
+    for (size_t i = 0; i < actions.size(); ++i) {
+        if (late[i])
+            continue;
+        if (actions[i].strikeIndex < 0)
+            ++res.faultsInjected;
+        res.lastActionTick = std::max(res.lastActionTick, actions[i].at);
+    }
     return res;
 }
 

@@ -13,8 +13,8 @@
  *    fragments by owning processor. Rasterization has no timing
  *    inputs at all, so triangles fan out over the worker pool.
  *  - Phase 1 (serial, cheap): replay the feeder's timing — geometry
- *    engines, dispatch-rate credit, and FIFO back-pressure — over
- *    the pre-rasterized buckets, materializing each node's stream
+ *    engines and FIFO back-pressure — over the pre-rasterized
+ *    buckets, materializing each node's stream
  *    with push ticks. When a FIFO would be full the engine advances
  *    *that node's* simulation just far enough to find the pop that
  *    frees a slot (lazy, conservative coupling); with the default
@@ -51,6 +51,9 @@ namespace texdist
  * order) interleaved with its triangle starts, which reproduces the
  * event engine's (tick, stamp) ordering: fault events are armed
  * before any frame event, so at equal ticks they fire first.
+ * Actions after a node's last triangle start wait until the frame's
+ * end is known: as in the event-driven machine, a strike at or after
+ * it neither applies nor counts, and its recovery goes with it.
  */
 struct EngineFaultAction
 {
@@ -66,12 +69,17 @@ struct EngineFaultAction
     uint32_t factor = 1;
     Tick stallFrom = 0;
     Tick stallUntil = 0;
+    /** Index of a recovery's strike in the frame's plan; -1 marks a
+     * strike. */
+    int32_t strikeIndex = -1;
 };
 
 /** Feeder-side outcomes of one two-phase frame. */
 struct FrameEngineResult
 {
     Tick frameEnd = 0; ///< latest node finish time
+    uint32_t faultsInjected = 0; ///< strikes that fired
+    Tick lastActionTick = 0;     ///< latest fault action that fired
     uint64_t trianglesDispatched = 0;
     uint64_t degenerateTriangles = 0;
     uint64_t culledTriangles = 0;

@@ -114,12 +114,10 @@ ParallelMachine::ParallelMachine(
                       dist->describe());
     nodes.reserve(cfg.numProcs);
     for (uint32_t i = 0; i < cfg.numProcs; ++i)
-        nodes.push_back(std::make_unique<TextureNode>(
-            i, cfg, scene.textures, eq));
+        nodes.push_back(
+            std::make_unique<TextureNode>(i, cfg, scene.textures));
     feeder_ = std::make_unique<GeometryFeeder>(scene, *dist, nodes,
                                                eq, cfg);
-    for (auto &node : nodes)
-        node->setFeeder(feeder_.get());
 }
 
 void
@@ -143,13 +141,8 @@ ParallelMachine::armFaults()
             };
             break;
           case FaultKind::FifoFreeze:
-            strike = [victim] { victim->freezeFifo(); };
-            // The feeder may be blocked on the frozen FIFO with no
-            // other event to wake it, so recovery must nudge it.
-            recover = [this, victim] {
-                victim->unfreezeFifo();
-                feeder_->notifySpaceFreed();
-            };
+            strike = [this, fault] { feeder_->freeze(fault.victim); };
+            recover = [this, fault] { feeder_->thaw(fault.victim); };
             break;
           case FaultKind::KillNode:
             strike = [this, fault] { killNode(fault.victim, "fault plan"); };
@@ -178,23 +171,12 @@ ParallelMachine::armFaults()
 }
 
 bool
-ParallelMachine::workRemains() const
-{
-    if (!feeder_->done())
-        return true;
-    for (const auto &node : nodes)
-        if (!node->isDead() && node->fifoOccupancy() > 0)
-            return true;
-    return false;
-}
-
-bool
 ParallelMachine::frameOver() const
 {
-    if (workRemains())
+    if (feeder_->workRemains())
         return false;
-    for (const auto &node : nodes)
-        if (!node->isDead() && node->finishTime() > eq.curTick())
+    for (uint32_t i = 0; i < nodes.size(); ++i)
+        if (feeder_->nodeAlive(i) && nodes[i]->finishTime() > eq.curTick())
             return false;
     return true;
 }
@@ -203,8 +185,8 @@ uint32_t
 ParallelMachine::aliveNodes() const
 {
     uint32_t alive = 0;
-    for (const auto &node : nodes)
-        alive += node->isDead() ? 0 : 1;
+    for (uint32_t i = 0; i < nodes.size(); ++i)
+        alive += feeder_->nodeAlive(i) ? 1 : 0;
     return alive;
 }
 
@@ -221,9 +203,9 @@ ParallelMachine::onDeadlock()
         int32_t culprit = feeder_->blockedOn();
         if (culprit < 0) {
             // The feeder is not blocked; look for a frozen node.
-            for (const auto &node : nodes)
-                if (!node->isDead() && node->frozen())
-                    culprit = int32_t(node->id());
+            for (uint32_t i = 0; i < nodes.size(); ++i)
+                if (feeder_->nodeAlive(i) && feeder_->frozen(i))
+                    culprit = int32_t(i);
         }
         if (culprit >= 0 && aliveNodes() > 1) {
             killNode(uint32_t(culprit), "deadlock");
@@ -250,8 +232,6 @@ ParallelMachine::failFrame(const std::string &reason)
     // node mid-frame) so the queue drains now and no event outlives
     // the frame scheduled.
     feeder_->cancelPending();
-    for (auto &node : nodes)
-        node->cancelPending();
     for (auto &ev : faultEvents)
         if (ev->scheduled())
             eq.deschedule(ev.get());
@@ -265,14 +245,15 @@ ParallelMachine::dumpMachineState() const
        << "  feeder: dispatched=" << feeder_->trianglesDispatched()
        << " done=" << (feeder_->done() ? 1 : 0)
        << " blocked_on=" << feeder_->blockedOn() << "\n";
-    for (const auto &node : nodes) {
-        os << "  " << node->name() << ": fifo="
-           << node->fifoOccupancy() << "/" << cfg.triangleBufferSize
-           << " pixels=" << node->pixelsDrawn()
-           << " finish=" << node->finishTime()
-           << " slowdown=" << node->slowdown()
-           << " frozen=" << (node->frozen() ? 1 : 0)
-           << " dead=" << (node->isDead() ? 1 : 0) << "\n";
+    for (uint32_t i = 0; i < nodes.size(); ++i) {
+        const TextureNode &node = *nodes[i];
+        os << "  " << node.name() << ": fifo=" << feeder_->queued(i)
+           << "/" << cfg.triangleBufferSize
+           << " pixels=" << node.pixelsDrawn()
+           << " finish=" << node.finishTime()
+           << " slowdown=" << node.slowdown()
+           << " frozen=" << (feeder_->frozen(i) ? 1 : 0)
+           << " dead=" << (feeder_->nodeAlive(i) ? 0 : 1) << "\n";
     }
     return os.str();
 }
@@ -282,12 +263,10 @@ ParallelMachine::killNode(uint32_t victim, const char *why)
 {
     if (victim >= nodes.size())
         texdist_fatal("killNode: node ", victim, " out of range");
-    TextureNode &node = *nodes[victim];
-    if (node.isDead())
+    if (!feeder_->nodeAlive(victim))
         return;
 
-    std::vector<TriangleWork> pending = node.kill();
-    feeder_->markDead(victim);
+    size_t moved = feeder_->markDead(victim);
     _degraded = true;
     ++faultStats.nodesKilled;
 
@@ -297,25 +276,9 @@ ParallelMachine::killNode(uint32_t victim, const char *why)
         return;
     }
 
-    // Migrate the dead node's queued work round-robin over the
-    // survivors. Each migrated TriangleWork pays setup again on its
-    // new node and misses that node's cache — the locality penalty
-    // of degradation, measured rather than assumed.
-    faultStats.trianglesRedistributed += pending.size();
-    for (TriangleWork &work : pending) {
-        size_t n = nodes.size();
-        for (size_t step = 1; step <= n; ++step) {
-            size_t cand = (redistributeCursor + step) % n;
-            if (!nodes[cand]->isDead()) {
-                redistributeCursor = cand;
-                nodes[cand]->forceEnqueue(std::move(work));
-                break;
-            }
-        }
-    }
-
+    faultStats.trianglesRedistributed += moved;
     warn("node ", victim, " declared dead (", why, "): ",
-         pending.size(), " queued triangles redistributed to ",
+         moved, " queued triangles redistributed to ",
          aliveNodes(), " survivors");
 
     // The feeder may have been blocked on the dead node's FIFO.
@@ -333,18 +296,18 @@ ParallelMachine::run()
     feeder_->start();
     eq.run();
 
-    // Every event source is finite: the feeder's credit polls and
-    // geometry arrivals, node work and fault strikes/recoveries all
-    // end. So the machine cannot livelock, and a drained queue with
-    // work remaining is exactly a deadlock on a FIFO that refuses
-    // forever. Respond at the tick the last live node goes idle;
-    // each response kills a node or fails the frame, so this ends.
+    // Every event source is finite: the feeder's geometry arrivals,
+    // node work and fault strikes/recoveries all end. So the machine
+    // cannot livelock, and a drained queue with work remaining is
+    // exactly a deadlock on a FIFO that refuses forever. Respond at
+    // the tick the last live node goes idle; each response kills a
+    // node or fails the frame, so this ends.
     LambdaEvent deadlock([this] { onDeadlock(); }, "deadlock");
-    while (!_failed && workRemains()) {
+    while (!_failed && feeder_->workRemains()) {
         Tick idle = eq.curTick();
-        for (const auto &node : nodes)
-            if (!node->isDead())
-                idle = std::max(idle, node->finishTime());
+        for (uint32_t i = 0; i < nodes.size(); ++i)
+            if (feeder_->nodeAlive(i))
+                idle = std::max(idle, nodes[i]->finishTime());
         eq.schedule(&deadlock, idle);
         eq.run();
     }
@@ -378,8 +341,8 @@ runFrame(const Scene &scene, const MachineConfig &config)
 void
 FrameResult::print(std::ostream &os) const
 {
-    // Reals leave the stream fixed at their precision, as callers'
-    // follow-on lines (texdist_sim's speedup) have always seen it.
+    const std::ios_base::fmtflags flags = os.flags();
+    const std::streamsize precision = os.precision();
     for (const Metric &m : metricTable()) {
         if (!m.frame || !m.label)
             continue;
@@ -406,6 +369,8 @@ FrameResult::print(std::ostream &os) const
         if (failed)
             os << "FRAME FAILED:      " << failureReason << "\n";
     }
+    os.flags(flags);
+    os.precision(precision);
 }
 
 std::string
@@ -432,8 +397,6 @@ MachineConfig::describe() const
         os << " bus=" << busTexelsPerCycle;
     os << " buffer=" << triangleBufferSize << " setup="
        << setupCyclesPerTriangle << " prefetch=" << prefetchQueueDepth;
-    if (geometryTrianglesPerCycle > 0)
-        os << " geom=" << geometryTrianglesPerCycle;
     if (geometryProcs > 0)
         os << " geomprocs=" << geometryProcs << "x"
            << geometryCyclesPerTriangle;

@@ -178,18 +178,16 @@ class ParallelMachine
     const GeometryFeeder &feeder() const { return *feeder_; }
 
     /**
-     * Declare a node dead and redistribute its queued work to the
-     * survivors (public so tests can exercise degradation directly;
-     * normally driven by the fault plan or deadlock detection).
+     * Declare a node dead and have the feeder redistribute its
+     * queued work to the survivors (public so tests can exercise
+     * degradation directly; normally driven by the fault plan or
+     * deadlock detection).
      */
     void killNode(uint32_t victim, const char *why);
 
   private:
     /** Schedule the configured fault plan onto the event queue. */
     void armFaults();
-
-    /** True while triangles remain undispatched or queued. */
-    bool workRemains() const;
 
     /** No work remains and every live node has finished by now. */
     bool frameOver() const;
@@ -217,7 +215,6 @@ class ParallelMachine
     std::unique_ptr<GeometryFeeder> feeder_;
     std::vector<std::unique_ptr<LambdaEvent>> faultEvents;
     FaultStats faultStats;
-    size_t redistributeCursor = 0;
     bool _degraded = false;
     bool _failed = false;
     std::string _failureReason;

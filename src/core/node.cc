@@ -1,54 +1,28 @@
 #include "core/node.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "cache/two_level.hh"
 #include "core/error.hh"
-#include "core/feeder.hh"
+#include "sim/logging.hh"
 #include "texture/sampler.hh"
 
 namespace texdist
 {
 
 TextureNode::TextureNode(uint32_t id, const MachineConfig &config,
-                         const TextureManager &textures_,
-                         EventQueue &eq_)
-    : nodeId(id), eq(eq_), cfg(config),
+                         const TextureManager &textures_)
+    : nodeId(id), cfg(config),
       textures(textures_),
       cache_(config.hasL2 && config.cacheKind == CacheKind::SetAssoc
                  ? std::make_unique<TwoLevelCache>(config.cacheGeom,
                                                    config.l2Geom,
                                                    config.l2Inclusive)
-                 : makeCache(config.cacheKind, config.cacheGeom)),
-      fifo(config.triangleBufferSize), workEvent(*this)
+                 : makeCache(config.cacheKind, config.cacheGeom))
 {
     if (!cfg.infiniteBus)
         bus_ = std::make_unique<TextureBus>(cfg.busTexelsPerCycle);
     retireRing.assign(std::max(1u, cfg.prefetchQueueDepth), 0);
-}
-
-void
-TextureNode::enqueue(TriangleWork &&work)
-{
-    if (_dead)
-        texdist_panic(name(), ": enqueue to a dead node");
-    fifo.push(std::move(work));
-    if (!workEvent.scheduled()) {
-        // The node was idle: it can start this triangle as soon as
-        // its scan engine is free (which may be in the past).
-        eq.schedule(&workEvent, std::max(eq.curTick(), cpuTime));
-    }
-}
-
-void
-TextureNode::forceEnqueue(TriangleWork &&work)
-{
-    if (_dead)
-        texdist_panic(name(), ": forceEnqueue to a dead node");
-    fifo.forcePush(std::move(work));
-    if (!workEvent.scheduled())
-        eq.schedule(&workEvent, std::max(eq.curTick(), cpuTime));
 }
 
 void
@@ -57,27 +31,6 @@ TextureNode::setSlowdown(uint32_t factor)
     if (factor == 0)
         texdist_fatal(name(), ": slowdown factor must be positive");
     _slowdown = factor;
-}
-
-std::vector<TriangleWork>
-TextureNode::kill()
-{
-    if (_dead)
-        texdist_panic(name(), ": killed twice");
-    _dead = true;
-    cancelPending();
-    std::vector<TriangleWork> pending;
-    pending.reserve(fifo.size());
-    while (!fifo.empty())
-        pending.push_back(fifo.pop());
-    return pending;
-}
-
-void
-TextureNode::cancelPending()
-{
-    if (workEvent.scheduled())
-        eq.deschedule(&workEvent);
 }
 
 void
@@ -176,64 +129,12 @@ TextureNode::scanFragments(TextureId texid,
     return cpu;
 }
 
-void
-TextureNode::runTriangle(TextureId tex, const NodeFragment *frags,
-                         size_t count, Tick start)
-{
-    _idleCycles += start > cpuTime ? start - cpuTime : 0;
-
-    ++_trianglesReceived;
-    _pixelsDrawn += count;
-    trianglePixels.add(double(count));
-
-    if (coverage) {
-        for (size_t i = 0; i < count; ++i) {
-            uint32_t x = frags[i].x;
-            if (_plantCoverageShift && i == 0)
-                x ^= 1u;
-            coverage->note(x, frags[i].y);
-        }
-    }
-
-    Tick scan_end = scanFragments(tex, frags, count, start);
-    Tick setup_end = start + Tick(cfg.setupCyclesPerTriangle) * _slowdown;
-    if (scan_end < setup_end) {
-        // Fewer pixels than the setup engine needs cycles: the
-        // triangle is setup-bound (the paper's small-tile penalty).
-        ++_setupBound;
-        _setupWaitCycles += setup_end - scan_end;
-        cpuTime = setup_end;
-    } else {
-        cpuTime = scan_end;
-    }
-}
-
-void
-TextureNode::processNext()
-{
-    Tick start = eq.curTick();
-
-    TriangleWork work = fifo.pop();
-    if (feeder)
-        feeder->notifySpaceFreed();
-
-    runTriangle(work.tex, work.frags.data(), work.frags.size(),
-                start);
-
-    if (!fifo.empty())
-        eq.schedule(&workEvent, cpuTime);
-}
-
 // texlint: phase(parallel) runs inside a drain task that owns this
 // node outright; touches no state outside the node
 void
 TextureNode::functionalScan(TextureId texid,
                             const NodeFragment *frags, size_t count)
 {
-    if (_dead || _frozen)
-        texdist_panic(name(), ": functionalScan on a dead or frozen "
-                      "node");
-
     ++_trianglesReceived;
     _pixelsDrawn += count;
     trianglePixels.add(double(count));
@@ -282,11 +183,33 @@ Tick
 TextureNode::consumeDirect(Tick push_tick, TextureId tex,
                            const NodeFragment *frags, size_t count)
 {
-    if (_dead || _frozen)
-        texdist_panic(name(), ": consumeDirect on a dead or frozen "
-                      "node");
     Tick start = nextStart(push_tick);
-    runTriangle(tex, frags, count, start);
+    _idleCycles += start - cpuTime;
+
+    ++_trianglesReceived;
+    _pixelsDrawn += count;
+    trianglePixels.add(double(count));
+
+    if (coverage) {
+        for (size_t i = 0; i < count; ++i) {
+            uint32_t x = frags[i].x;
+            if (_plantCoverageShift && i == 0)
+                x ^= 1u;
+            coverage->note(x, frags[i].y);
+        }
+    }
+
+    Tick scan_end = scanFragments(tex, frags, count, start);
+    Tick setup_end = start + Tick(cfg.setupCyclesPerTriangle) * _slowdown;
+    if (scan_end < setup_end) {
+        // Fewer pixels than the setup engine needs cycles: the
+        // triangle is setup-bound (the paper's small-tile penalty).
+        ++_setupBound;
+        _setupWaitCycles += setup_end - scan_end;
+        cpuTime = setup_end;
+    } else {
+        cpuTime = scan_end;
+    }
     return start;
 }
 
@@ -306,8 +229,6 @@ TextureNode::serialize(CheckpointWriter &w) const
     w.u64(ringHead);
     w.u64vec(retireRing);
     w.u32(_slowdown);
-    w.u8(_frozen ? 1 : 0);
-    w.u8(_dead ? 1 : 0);
     w.u64(_pixelsDrawn);
     w.u64(_trianglesReceived);
     w.u64(_setupBound);
@@ -315,21 +236,7 @@ TextureNode::serialize(CheckpointWriter &w) const
     w.u64(_idleCycles);
     w.u64(_setupWaitCycles);
     trianglePixels.serialize(w);
-
-    w.section("node-fifo");
-    w.u64(fifo.maxOccupancy());
-    w.u64(fifo.size());
-    for (const TriangleWork &work : fifo.contents()) {
-        w.u32(work.tex);
-        w.u64(work.frags.size());
-        for (const NodeFragment &frag : work.frags) {
-            w.u32(frag.x);
-            w.u32(frag.y);
-            w.u32(std::bit_cast<uint32_t>(frag.u));
-            w.u32(std::bit_cast<uint32_t>(frag.v));
-            w.u32(std::bit_cast<uint32_t>(frag.lod));
-        }
-    }
+    w.u64(_fifoHighWater);
 
     cache_->serialize(w);
     w.u8(bus_ ? 1 : 0);
@@ -362,8 +269,6 @@ TextureNode::unserialize(CheckpointReader &r)
             .in(r.path())
             .field("node");
     _slowdown = r.u32();
-    _frozen = r.u8() != 0;
-    _dead = r.u8() != 0;
     _pixelsDrawn = r.u64();
     _trianglesReceived = r.u64();
     _setupBound = r.u64();
@@ -371,32 +276,7 @@ TextureNode::unserialize(CheckpointReader &r)
     _idleCycles = r.u64();
     _setupWaitCycles = r.u64();
     trianglePixels.unserialize(r);
-
-    r.section("node-fifo");
-    uint64_t high_water = r.u64();
-    uint64_t occupancy = r.u64();
-    fifo.clear();
-    for (uint64_t i = 0; i < occupancy; ++i) {
-        TriangleWork work;
-        work.tex = r.u32();
-        uint64_t nfrags = r.u64();
-        // The count comes from the file; cap the pre-allocation so a
-        // hostile value cannot demand memory the payload could never
-        // back (each fragment is 20 payload bytes — a short payload
-        // throws Truncated on the first missing read below).
-        work.frags.reserve(std::min<uint64_t>(nfrags, 4096));
-        for (uint64_t f = 0; f < nfrags; ++f) {
-            NodeFragment frag;
-            frag.x = uint16_t(r.u32());
-            frag.y = uint16_t(r.u32());
-            frag.u = std::bit_cast<float>(r.u32());
-            frag.v = std::bit_cast<float>(r.u32());
-            frag.lod = std::bit_cast<float>(r.u32());
-            work.frags.push_back(frag);
-        }
-        fifo.forcePush(std::move(work));
-    }
-    fifo.restoreHighWater(high_water);
+    _fifoHighWater = r.u64();
 
     cache_->unserialize(r);
     bool had_bus = r.u8() != 0;
@@ -408,11 +288,6 @@ TextureNode::unserialize(CheckpointReader &r)
             .field("node");
     if (bus_)
         bus_->unserialize(r);
-
-    if (workEvent.scheduled())
-        eq.deschedule(&workEvent);
-    if (!fifo.empty() && !_dead)
-        eq.schedule(&workEvent, std::max(eq.curTick(), cpuTime));
 }
 
 } // namespace texdist

@@ -1,9 +1,17 @@
 /**
  * @file
- * The texture-mapping node of Figure 3: triangle FIFO, setup engine
- * (one triangle per 25 cycles), pixel scan (one pixel per cycle), an
- * on-chip texture cache, a fragment prefetch queue, and the
+ * The texture-mapping node of Figure 3: setup engine (one triangle
+ * per 25 cycles), pixel scan (one pixel per cycle), an on-chip
+ * texture cache, a fragment prefetch queue, and the
  * bandwidth-limited bus to the node's private texture memory.
+ *
+ * The node is a queue-free timing model: it is handed one triangle
+ * at a time with the tick the triangle was pushed, and starts it at
+ * max(push tick, scan-free time). The triangle FIFO ahead of it
+ * belongs to whatever feeds it — a real queue in the event-driven
+ * GeometryFeeder, an analytic model in the two-phase engine's
+ * phase 1, nothing at all in sort-last — so the node keeps only the
+ * FIFO's high-water mark, which its feeder reports.
  *
  * Timing model:
  *  - A triangle occupies the node for max(setupCycles, scan time):
@@ -30,15 +38,11 @@
 #include "core/config.hh"
 #include "core/coverage.hh"
 #include "mem/bus.hh"
-#include "sim/eventq.hh"
-#include "sim/fifo.hh"
 #include "sim/stats.hh"
 #include "texture/manager.hh"
 
 namespace texdist
 {
-
-class GeometryFeeder;
 
 /** One fragment as dispatched to a node. */
 struct NodeFragment
@@ -50,62 +54,18 @@ struct NodeFragment
     float lod;
 };
 
-/** One triangle FIFO entry: the node's share of a triangle. */
-struct TriangleWork
-{
-    TextureId tex = 0;
-    std::vector<NodeFragment> frags;
-};
-
-/** A texture-mapping engine plus its cache, bus and triangle FIFO. */
+/** A texture-mapping engine plus its cache and bus. */
 // texlint: owned-by-task
 class TextureNode
 {
   public:
     TextureNode(uint32_t id, const MachineConfig &config,
-                const TextureManager &textures, EventQueue &eq);
-
-    /** The feeder to notify when FIFO space frees. */
-    void setFeeder(GeometryFeeder *f) { feeder = f; }
+                const TextureManager &textures);
 
     uint32_t id() const { return nodeId; }
 
     /** "node<id>", for diagnostics and the stats file. */
     std::string name() const { return "node" + std::to_string(nodeId); }
-
-    /**
-     * Free entries in the triangle FIFO. A frozen or dead node
-     * accepts nothing, which is how a fault back-pressures the
-     * in-order feeder.
-     */
-    bool
-    fifoHasSpace() const
-    {
-        return !_frozen && !_dead && !fifo.full();
-    }
-
-    /** Current triangle FIFO occupancy. */
-    size_t fifoOccupancy() const { return fifo.size(); }
-
-    /**
-     * Push one triangle's work (called by the feeder at the current
-     * tick). The caller must have checked fifoHasSpace().
-     */
-    void enqueue(TriangleWork &&work);
-
-    /**
-     * Push one triangle's work ignoring FIFO capacity — graceful
-     * degradation migrating a dead node's queue onto a survivor.
-     */
-    void forceEnqueue(TriangleWork &&work);
-
-    // --- two-phase (queue-free) execution --------------------------------
-    //
-    // The deterministic parallel engine bypasses the event queue and
-    // the FIFO object: the node's evolution is a pure function of
-    // its (push tick, work) stream, because triangle k starts at
-    // max(scan-free time after k-1, push tick of k) — exactly when
-    // the event-driven machine would have fired its work event.
 
     /** Tick at which work pushed at @p push_tick would start. */
     Tick
@@ -115,21 +75,24 @@ class TextureNode
     }
 
     /**
-     * Process one triangle pushed at @p push_tick directly,
-     * replicating processNext() exactly (idle accounting, scan,
-     * setup bound) without event-queue or FIFO involvement.
-     * @return the start tick, i.e. when the event-driven machine
-     *         would have popped this triangle from the FIFO
+     * Run one triangle pushed at @p push_tick: it starts at
+     * nextStart(push_tick); idle time before the start, the scan and
+     * the setup bound are charged and the scan-free time advances.
+     * @return the start tick, i.e. when the triangle leaves the FIFO
      */
     Tick consumeDirect(Tick push_tick, TextureId tex,
                        const NodeFragment *frags, size_t count);
 
     /**
-     * Fold the FIFO occupancy high-water computed by the two-phase
-     * engine into this node's FIFO statistic (and thus into results
-     * and checkpoints).
+     * Fold a triangle FIFO occupancy observed by this node's feeder
+     * into the node's high-water mark (and thus into results and
+     * checkpoints).
      */
-    void noteFifoHighWater(size_t hw) { fifo.noteOccupancy(hw); }
+    void
+    noteFifoHighWater(size_t occupancy)
+    {
+        _fifoHighWater = std::max(_fifoHighWater, occupancy);
+    }
 
     /**
      * Functional (no-timing) execution of one triangle for sampled
@@ -155,25 +118,6 @@ class TextureNode
     void setSlowdown(uint32_t factor);
 
     uint32_t slowdown() const { return _slowdown; }
-
-    /** Stop/resume accepting triangles — the fifo-freeze fault. */
-    void freezeFifo() { _frozen = true; }
-    void unfreezeFifo() { _frozen = false; }
-    bool frozen() const { return _frozen; }
-
-    /**
-     * Declare the node dead: it stops processing and returns its
-     * queued (not yet started) work for redistribution. The triangle
-     * already in flight completes — its cycles and pixels were
-     * committed when it started. Idempotent-hostile: callers check
-     * isDead() first.
-     */
-    std::vector<TriangleWork> kill();
-
-    bool isDead() const { return _dead; }
-
-    /** Deschedule any pending work event (frame abandonment). */
-    void cancelPending();
 
     /**
      * Inject a bus blackout over [from, until); no-op (with a
@@ -250,7 +194,7 @@ class TextureNode
     /** Null when the configuration uses an infinite bus. */
     const TextureBus *bus() const { return bus_.get(); }
 
-    size_t fifoMaxOccupancy() const { return fifo.maxOccupancy(); }
+    size_t fifoMaxOccupancy() const { return _fifoHighWater; }
 
     /** Distribution of per-triangle pixel counts on this node. */
     const Histogram &trianglePixelsHistogram() const
@@ -258,65 +202,31 @@ class TextureNode
 
     /**
      * Serialize the node's complete mutable state: engine clocks,
-     * prefetch retire ring, fault flags, counters, triangle FIFO
-     * contents, cache tag arrays and bus position. A node restored
-     * from this state continues bit-exactly where the original
-     * stood.
+     * prefetch retire ring, slowdown, counters, FIFO high-water
+     * mark, cache tag arrays and bus position. A node restored from
+     * this state continues bit-exactly where the original stood.
      */
     void serialize(CheckpointWriter &w) const;
 
     /**
      * Restore state serialized by a node with the same id and
-     * configuration; fatal on mismatch. If the restored FIFO is
-     * non-empty the work event is rescheduled so the queued
-     * triangles drain.
+     * configuration; throws ParseError on mismatch.
      */
     void unserialize(CheckpointReader &r);
 
   private:
-    /** Event: start processing the FIFO head. */
-    class WorkEvent : public Event
-    {
-      public:
-        explicit WorkEvent(TextureNode &owner) : node(owner) {}
-        void process() override { node.processNext(); }
-        const char *description() const override
-        { return "node work"; }
-
-      private:
-        TextureNode &node;
-    };
-
-    void processNext();
-
-    /**
-     * Shared core of processNext and consumeDirect: charge one
-     * triangle (idle time, counters, fragment scan, setup engine)
-     * starting at @p start and advance the scan-free time.
-     */
-    void runTriangle(TextureId tex, const NodeFragment *frags,
-                     size_t count, Tick start);
-
     /** Scan one triangle's fragments starting at @p start. */
     Tick scanFragments(TextureId tex, const NodeFragment *frags,
                        size_t count, Tick start);
 
     uint32_t nodeId;
-    // texlint: allow(checkpoint) wiring, the machine's queue
-    EventQueue &eq;
     // texlint: allow(checkpoint) construction state; restore validates
     // the prefetch ring against it
     MachineConfig cfg;
     const TextureManager &textures;
-    // texlint: allow(checkpoint) wiring, re-established by the machine
-    GeometryFeeder *feeder = nullptr;
 
     std::unique_ptr<TextureCache> cache_;
     std::unique_ptr<TextureBus> bus_;
-    BoundedFifo<TriangleWork> fifo;
-    // texlint: allow(checkpoint) rescheduled from the restored FIFO, not
-    // stored
-    WorkEvent workEvent;
 
     /** When the scan engine is next free. */
     Tick cpuTime = 0;
@@ -343,8 +253,6 @@ class TextureNode
     std::vector<float> lodScratch;
 
     uint32_t _slowdown = 1;
-    bool _frozen = false;
-    bool _dead = false;
 
     // texlint: allow(checkpoint) host-side oracle observation, not state
     FrameCoverage *coverage = nullptr;
@@ -360,6 +268,7 @@ class TextureNode
     uint64_t _stallCycles = 0;
     uint64_t _idleCycles = 0;
     uint64_t _setupWaitCycles = 0;
+    size_t _fifoHighWater = 0;
 };
 
 } // namespace texdist

@@ -256,7 +256,6 @@ SimOptions::usage()
         "  --buffer=<entries>    triangle FIFO (default 10000)\n"
         "  --setup=<cycles>      setup cycles/triangle (default 25)\n"
         "  --prefetch=<frags>    prefetch queue depth (default 64)\n"
-        "  --geometry=<tri/cyc>  geometry rate, 0 = ideal\n"
         "  --geom-procs=<n>      geometry engines, 0 = ideal\n"
         "  --geom-cycles=<n>     cycles/triangle per engine "
         "(default 100)\n"
@@ -467,9 +466,6 @@ SimOptions::parse(const std::vector<std::string> &args)
             if (opts.machine.prefetchQueueDepth == 0)
                 cliFail("prefetch", ParseRule::Range,
                         "must be positive");
-        } else if (match(arg, "geometry", v)) {
-            opts.machine.geometryTrianglesPerCycle =
-                parseCliF64(v, "geometry");
         } else if (match(arg, "geom-procs", v)) {
             opts.machine.geometryProcs =
                 parseCliU32(v, "geom-procs");

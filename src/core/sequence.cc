@@ -18,7 +18,7 @@ SequenceMachine::SequenceMachine(const Scene &first_frame,
                               cfg.tileParam, cfg.interleave);
     for (uint32_t i = 0; i < cfg.numProcs; ++i)
         nodes.push_back(std::make_unique<TextureNode>(
-            i, cfg, first_frame.textures, eq));
+            i, cfg, first_frame.textures));
     snapshots.resize(cfg.numProcs);
     engine = std::make_unique<TwoPhaseFrameEngine>(cfg, *dist, nodes,
                                                    host_jobs);
@@ -28,8 +28,6 @@ std::vector<EngineFaultAction>
 SequenceMachine::armFaults(Tick frame_start)
 {
     std::vector<EngineFaultAction> actions;
-    frameFaultsInjected = 0;
-    maxActionTick = 0;
     for (FaultSpec fault : cfg.faults.faults) {
         if (fault.victim == faultRandomVictim)
             fault.victim = uint32_t(
@@ -49,13 +47,12 @@ SequenceMachine::armFaults(Tick frame_start)
             strike.kind = EngineFaultAction::Kind::Slowdown;
             strike.factor = fault.factor;
             actions.push_back(strike);
-            maxActionTick = std::max(maxActionTick, at);
             if (fault.duration > 0) {
                 EngineFaultAction recover = strike;
                 recover.at = end;
                 recover.factor = 1;
+                recover.strikeIndex = int32_t(actions.size() - 1);
                 actions.push_back(recover);
-                maxActionTick = std::max(maxActionTick, end);
             }
             break;
           case FaultKind::BusStall:
@@ -63,7 +60,6 @@ SequenceMachine::armFaults(Tick frame_start)
             strike.stallFrom = at;
             strike.stallUntil = end;
             actions.push_back(strike);
-            maxActionTick = std::max(maxActionTick, at);
             break;
           default:
             // fifo-freeze and kill-node need the deadlock
@@ -74,7 +70,6 @@ SequenceMachine::armFaults(Tick frame_start)
                           "' is not supported in multi-frame "
                           "(sequence) runs");
         }
-        ++frameFaultsInjected;
     }
     return actions;
 }
@@ -106,11 +101,11 @@ SequenceMachine::runFrame(const Scene &scene)
     FrameResult out =
         assembleFrameResult(nodes, snapshots, frameStart, frame_end);
     out.trianglesDispatched = eng.trianglesDispatched;
-    out.faultStats.injected = frameFaultsInjected;
+    out.faultStats.injected = eng.faultsInjected;
 
     // A fault recovery action may land after the last node retires;
     // the next frame must still start at or after it.
-    frameStart = std::max(frame_end, maxActionTick);
+    frameStart = std::max(frame_end, eng.lastActionTick);
     ++_framesRun;
     return out;
 }
@@ -243,7 +238,6 @@ SequenceMachine::restore(CheckpointReader &r)
         snap.setupWait = r.u64();
     }
 
-    eq.restoreClock(frameStart);
     for (auto &node : nodes)
         node->unserialize(r);
 

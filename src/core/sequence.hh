@@ -9,6 +9,11 @@
  * has fully retired (double-buffered rendering), and each frame gets
  * its own FrameResult with delta statistics.
  *
+ * Frames run on the two-phase engine, which drives the queue-free
+ * nodes directly: the machine holds no event queue, and its clock is
+ * frameStart, the one tick a checkpoint needs besides the nodes'
+ * own absolute clocks.
+ *
  * All frames must share the screen size and a texture address space
  * laid out identically to the first frame's (translateScene and
  * TextureManager::clone guarantee this).
@@ -98,9 +103,10 @@ class SequenceMachine
     /**
      * Serialize the machine at a frame boundary: the clock, the
      * fault RNG stream, per-node delta snapshots and every node's
-     * full state (caches, engine clocks, FIFO, bus). A machine
-     * restored from this checkpoint simulates the remaining frames
-     * bit-exactly as the uninterrupted run would have.
+     * full state (caches, engine clocks, FIFO high-water mark,
+     * bus). A machine restored from this checkpoint simulates the
+     * remaining frames bit-exactly as the uninterrupted run would
+     * have.
      */
     void serialize(CheckpointWriter &w) const;
 
@@ -121,7 +127,8 @@ class SequenceMachine
      * strikes every frame, with `rand` victims re-resolved per frame
      * from the session RNG stream. Only faults a sequence can
      * survive without deadlock handling (slow-node, bus-stall) are
-     * supported. Updates frameFaultsInjected and maxActionTick.
+     * supported. The engine decides which actions fire: a strike
+     * at or after the frame's end does not.
      */
     std::vector<EngineFaultAction> armFaults(Tick frame_start);
 
@@ -138,9 +145,6 @@ class SequenceMachine
     void requireExactState() const;
 
     MachineConfig cfg;
-    // texlint: allow(checkpoint) clock only; restore rewinds it to
-    // frameStart
-    EventQueue eq;
     // texlint: allow(checkpoint) static tile map, a pure function of cfg
     std::unique_ptr<Distribution> dist;
     std::vector<std::unique_ptr<TextureNode>> nodes;
@@ -148,11 +152,6 @@ class SequenceMachine
     // texlint: allow(checkpoint) stateless between frames; rebuilt from cfg
     std::unique_ptr<TwoPhaseFrameEngine> engine;
     Rng faultRng;
-    // texlint: allow(checkpoint) per-frame scratch, reset by armFaults
-    uint32_t frameFaultsInjected = 0;
-    /** Latest tick of any action of the current frame's plan. */
-    // texlint: allow(checkpoint) per-frame scratch, folded into frameStart
-    Tick maxActionTick = 0;
     uint32_t _framesRun = 0;
     Tick frameStart = 0;
     // texlint: allow(checkpoint) restore-once guard, meaningless in a file

@@ -21,8 +21,8 @@ SortLastMachine::SortLastMachine(const Scene &scene_,
 
     nodes.reserve(procs);
     for (uint32_t i = 0; i < procs; ++i)
-        nodes.push_back(std::make_unique<TextureNode>(
-            i, cfg.node, scene.textures, eq));
+        nodes.push_back(
+            std::make_unique<TextureNode>(i, cfg.node, scene.textures));
 }
 
 SortLastResult

@@ -100,7 +100,6 @@ class SortLastMachine
   private:
     const Scene &scene;
     SortLastConfig cfg;
-    EventQueue eq; ///< clock the nodes bind to; never run
     std::vector<std::unique_ptr<TextureNode>> nodes;
     bool ran = false;
 };

@@ -54,7 +54,7 @@ constexpr uint32_t storeFormatVersion = 1;
  * a change alters what any config measures — stale entries then
  * miss naturally instead of serving results from old code.
  */
-constexpr const char *fabricCodeVersion = "texdist-fabric-code-1";
+constexpr const char *fabricCodeVersion = "texdist-fabric-code-2";
 
 /** Identity of one sweep-config run. */
 struct StoreKey

@@ -279,11 +279,11 @@ OracleEngine::checkConservation(const FrameResult &result,
 
         // Triangle FIFOs must have drained: the frame is only over
         // when every dispatched triangle was consumed.
-        if (node.fifoOccupancy() != 0) {
+        if (feeder && feeder->queued(uint32_t(i)) != 0) {
             violations.push_back(
                 "queue conservation: " + nodeLabel(i) +
                 " finished the frame with " +
-                std::to_string(node.fifoOccupancy()) +
+                std::to_string(feeder->queued(uint32_t(i))) +
                 " triangle(s) still queued");
             flag(i);
         }

@@ -18,7 +18,8 @@
  *    equal misses × fill size, and the bus moved exactly the texels
  *    the caches requested (per-level for two-level hierarchies);
  *  - queue occupancy conservation: triangle FIFOs drained at frame
- *    end and never exceeded their bound;
+ *    end (on the event-driven machine, whose feeder holds real
+ *    queues) and never exceeded their bound;
  *  - the frame ledger (when the machine has a screen distribution):
  *    node counters sum to the frame totals, each node drew exactly
  *    the fragments of the pixels it owns, and the frame time is the
@@ -82,7 +83,8 @@ class OracleEngine
      * Attach to a machine's nodes (any machine with numNodes() and
      * node(i)): registers coverage sinks and (in full mode) wraps
      * each set-associative cache in a shadow differential
-     * decorator. Call once, before the first frame.
+     * decorator. A machine with a feeder() also has its triangle
+     * FIFOs checked for drainage. Call once, before the first frame.
      */
     template <typename Machine>
     void
@@ -90,6 +92,8 @@ class OracleEngine
     {
         for (uint32_t i = 0; i < machine.numNodes(); ++i)
             attachNode(machine.node(i));
+        if constexpr (requires { machine.feeder(); })
+            feeder = &machine.feeder();
     }
 
     OracleMode mode() const { return _mode; }
@@ -161,6 +165,8 @@ class OracleEngine
     MachineConfig cfg;
     OracleMode _mode;
     std::vector<TextureNode *> nodes;
+    /** The attached machine's FIFOs; null when it has none. */
+    const GeometryFeeder *feeder = nullptr;
     std::vector<ShadowedCache *> shadows; ///< parallel to nodes; may be null
     std::unique_ptr<FrameCoverage> coverage;
     std::vector<BusSnapshot> busAtFrameStart;

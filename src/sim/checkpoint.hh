@@ -50,7 +50,7 @@ namespace texdist
 {
 
 /** Current checkpoint format version. */
-constexpr uint32_t checkpointVersion = 1;
+constexpr uint32_t checkpointVersion = 2;
 
 /** CRC-32 (IEEE 802.3 polynomial) of a byte buffer. */
 uint32_t crc32(const void *data, size_t len, uint32_t seed = 0);

@@ -31,17 +31,6 @@ EventQueue::schedule(Event *event, Tick when)
 }
 
 void
-EventQueue::restoreClock(Tick when)
-{
-    if (numPending > 0 || numProcessed > 0)
-        texdist_panic("restoreClock on a queue already in use");
-    if (when < _curTick)
-        texdist_panic("restoreClock backwards: ", when, " < ",
-                      _curTick);
-    _curTick = when;
-}
-
-void
 EventQueue::deschedule(Event *event)
 {
     if (!event->_scheduled)
@@ -86,7 +75,6 @@ EventQueue::step()
     _curTick = top.when;
     top.event->_scheduled = false;
     top.event->process();
-    ++numProcessed;
     return true;
 }
 

@@ -119,14 +119,6 @@ class EventQueue
      */
     Tick run();
 
-    /**
-     * Restore the clock of a checkpointed simulation: jump an idle
-     * queue (nothing pending, nothing processed yet) forward to
-     * @p when, so restored components whose timestamps are absolute
-     * resume against a consistent notion of "now".
-     */
-    void restoreClock(Tick when);
-
   private:
     struct Entry
     {
@@ -153,7 +145,6 @@ class EventQueue
     std::priority_queue<Entry, std::vector<Entry>, EntryCompare> heap;
     Tick _curTick = 0;
     uint64_t nextStamp = 1;
-    uint64_t numProcessed = 0;
     size_t numPending = 0;
 };
 

@@ -132,27 +132,6 @@ TEST(Feeder, CullsOffscreenAndDegenerate)
     EXPECT_EQ(r.totalPixels, 100u);
 }
 
-TEST(Feeder, GeometryRateLimitsDispatch)
-{
-    // 20 tiny triangles at 0.1 triangles/cycle: dispatch alone takes
-    // ~200 cycles even though drawing is trivial.
-    SceneBuilder b("rate", 64, 64, 2);
-    TextureId tex = b.makeTexture(32, 32);
-    for (int i = 0; i < 20; ++i)
-        b.addQuad(float(i * 3), 0, float(i * 3 + 2), 2, tex, 1.0);
-    Scene scene = b.take();
-
-    MachineConfig cfg;
-    cfg.cacheKind = CacheKind::Perfect;
-    cfg.infiniteBus = true;
-    cfg.geometryTrianglesPerCycle = 0.1;
-    FrameResult r = runFrame(scene, cfg);
-    EXPECT_GE(r.frameTime, 380u); // ~40 triangles / 0.1
-    MachineConfig fast = cfg;
-    fast.geometryTrianglesPerCycle = 0.0;
-    EXPECT_LT(runFrame(scene, fast).frameTime, r.frameTime);
-}
-
 TEST(Feeder, StrictOrderPreservedPerNode)
 {
     // Node FIFO max occupancy never exceeds capacity, and with a big

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <sstream>
+
 #include "core/experiments.hh"
 #include "core/machine.hh"
 #include "scene/builder.hh"
@@ -294,6 +297,29 @@ TEST(Machine, FrameResultPrintMentionsFields)
     r.print(os);
     EXPECT_NE(os.str().find("frame time"), std::string::npos);
     EXPECT_NE(os.str().find("texel/fragment"), std::string::npos);
+}
+
+TEST(Machine, FrameResultPrintRestoresStreamFormat)
+{
+    // print() sets fixed precision per metric; the caller's next
+    // line must not inherit it. A faulted frame prints the fault
+    // block too.
+    Scene scene = quadScene(64, 0, 0, 20, 20);
+    MachineConfig cfg = perfectConfig(2);
+    cfg.faults.add("slow-node:0,at=0,x=2");
+    FrameResult r = runFrame(scene, cfg);
+    ASSERT_EQ(r.faultStats.injected, 1u);
+    std::ostringstream os;
+    os << std::scientific << std::setprecision(9);
+    const std::ios_base::fmtflags flags = os.flags();
+    r.print(os);
+    EXPECT_EQ(os.flags(), flags);
+    EXPECT_EQ(os.precision(), 9);
+    std::ostringstream plain;
+    r.print(plain);
+    plain.str("");
+    plain << 12.0 << ' ' << 8.8625;
+    EXPECT_EQ(plain.str(), "12 8.8625");
 }
 
 TEST(Machine, ConfigDescribeRoundTripsSettings)

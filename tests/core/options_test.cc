@@ -62,7 +62,7 @@ TEST(SimOptions, FullMachineLine)
                           "--cache=perfect", "--cache-kb=32",
                           "--cache-ways=8", "--bus=2", "--buffer=50",
                           "--setup=30", "--prefetch=128",
-                          "--geometry=1.5", "--geom-procs=4",
+                          "--geom-procs=4",
                           "--geom-cycles=120",
                           "--stats-file=/tmp/s.txt"});
     EXPECT_EQ(o.scene, "quake");
@@ -78,7 +78,6 @@ TEST(SimOptions, FullMachineLine)
     EXPECT_EQ(o.machine.triangleBufferSize, 50u);
     EXPECT_EQ(o.machine.setupCyclesPerTriangle, 30u);
     EXPECT_EQ(o.machine.prefetchQueueDepth, 128u);
-    EXPECT_DOUBLE_EQ(o.machine.geometryTrianglesPerCycle, 1.5);
     EXPECT_EQ(o.machine.geometryProcs, 4u);
     EXPECT_EQ(o.machine.geometryCyclesPerTriangle, 120u);
     EXPECT_EQ(o.statsFile, "/tmp/s.txt");
@@ -111,7 +110,7 @@ TEST(SimOptions, UsageMentionsEveryOption)
          {"--scene", "--scale", "--trace", "--procs", "--dist",
           "--param", "--interleave", "--cache", "--cache-kb",
           "--cache-ways", "--bus", "--buffer", "--setup",
-          "--prefetch", "--geometry", "--geom-procs",
+          "--prefetch", "--geom-procs",
           "--geom-cycles", "--stats-file", "--fault",
           "--fault-seed", "--watchdog"})
         EXPECT_NE(u.find(key), std::string::npos) << key;
@@ -149,6 +148,10 @@ TEST(SimOptionsError, UnknownOptionFatal)
     // The interval watchdog is gone: deadlock detection is exact.
     expectCliError([&] { return parse({"--watchdog-ticks=500"}); },
                    {"unknown option", "--watchdog-ticks"});
+    // The dispatch-rate model is gone; --geom-procs/--geom-cycles
+    // model the geometry stage.
+    expectCliError([&] { return parse({"--geometry=0.01"}); },
+                   {"unknown option", "--geometry"});
 }
 
 TEST(SimOptionsError, BadValuesFatal)

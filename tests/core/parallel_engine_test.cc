@@ -110,14 +110,12 @@ TEST(ParallelEngine, JobsInvariantUnderFifoBackPressure)
     expectJobsInvariant(wallScene(), cfg, 2);
 }
 
-TEST(ParallelEngine, JobsInvariantWithGeometryStageAndRate)
+TEST(ParallelEngine, JobsInvariantWithGeometryStage)
 {
-    // Finite dispatch rate plus modelled geometry engines: the
-    // credit and arrival arithmetic runs in the serial phase and
-    // must not see the job count either.
+    // Modelled geometry engines: the arrival arithmetic runs in the
+    // serial phase and must not see the job count either.
     MachineConfig cfg = blockConfig(4);
     cfg.triangleBufferSize = 8;
-    cfg.geometryTrianglesPerCycle = 0.02;
     cfg.geometryProcs = 2;
     cfg.geometryCyclesPerTriangle = 120;
     expectJobsInvariant(wallScene(), cfg, 2);
@@ -134,9 +132,9 @@ TEST(ParallelEngine, JobsInvariantUnderFaultInjection)
 
 TEST(ParallelEngine, BlockedFrameMatchesEventDrivenMachine)
 {
-    // Cross-engine anchor for the back-pressure path: with no
-    // dispatch-rate modelling, the two-phase schedule under blocking
-    // must reproduce the event-driven machine's timing exactly.
+    // Cross-engine anchor for the back-pressure path: the two-phase
+    // schedule under blocking must reproduce the event-driven
+    // machine's timing exactly.
     Scene scene = wallScene();
     MachineConfig cfg = blockConfig(4);
     cfg.triangleBufferSize = 4;

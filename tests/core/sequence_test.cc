@@ -128,6 +128,89 @@ TEST(Sequence, WarmPanFramesReportTimeImbalance)
     EXPECT_GT(seq.frames[2].timeImbalancePercent, 0.0);
 }
 
+/** Three frames of quake at scale 0.25, panned 8 pixels a frame. */
+std::vector<Scene>
+quakePan()
+{
+    Scene scene = makeBenchmark("quake", 0.25);
+    std::vector<Scene> frames;
+    for (int i = 0; i < 3; ++i)
+        frames.push_back(translateScene(scene, float(8 * i), 0.0f));
+    return frames;
+}
+
+TEST(Sequence, LateStrikesLeaveTheRunUntouched)
+{
+    // A strike at or after a frame's end touches nothing, counts
+    // nothing and does not push the next frame's start out, so every
+    // frame keeps its fault-free digest.
+    std::vector<Scene> frames = quakePan();
+    MachineConfig clean;
+    clean.numProcs = 4;
+    SequenceResult base = runFrameSequence(frames, clean);
+    const std::string at_end = std::to_string(base.frames[0].frameTime);
+    for (const std::string &spec : std::vector<std::string>{
+             "slow-node:3,at=100000000,x=8",
+             "slow-node:3,at=100000000,for=50,x=8",
+             "bus-stall:3,at=100000000,for=10",
+             "slow-node:3,at=" + at_end + ",x=8",
+             "bus-stall:3,at=" + at_end + ",for=10"}) {
+        MachineConfig cfg = clean;
+        cfg.faults.add(spec);
+        SequenceResult r = runFrameSequence(frames, cfg);
+        ASSERT_EQ(r.frames.size(), base.frames.size());
+        for (size_t f = 0; f < r.frames.size(); ++f) {
+            EXPECT_EQ(digestFrame(r.frames[f]),
+                      digestFrame(base.frames[f]))
+                << spec << " frame " << f;
+            EXPECT_EQ(r.frames[f].faultStats.injected, 0u)
+                << spec << " frame " << f;
+        }
+        EXPECT_EQ(r.totalTime, base.totalTime) << spec;
+    }
+}
+
+TEST(Sequence, StrikesInsideTheFrameStillCount)
+{
+    // Early in every frame, or one tick before frame 0's end for
+    // one tick (frames 1 and 2 then end before that tick): the
+    // strike counts where it lands inside its frame, including on a
+    // node that already finished.
+    std::vector<Scene> frames = quakePan();
+    MachineConfig clean;
+    clean.numProcs = 4;
+    SequenceResult base = runFrameSequence(frames, clean);
+    ASSERT_GT(base.frames[0].frameTime, base.frames[1].frameTime);
+    ASSERT_GT(base.frames[0].frameTime, base.frames[2].frameTime);
+    const std::string before_end =
+        std::to_string(base.frames[0].frameTime - 1);
+    struct Case
+    {
+        std::string spec;
+        uint32_t perFrame[3];
+    };
+    for (const Case &c : std::vector<Case>{
+             {"slow-node:3,at=2000,x=8", {1, 1, 1}},
+             {"bus-stall:3,at=2000,for=5000", {1, 1, 1}},
+             {"slow-node:0,at=" + before_end + ",for=1,x=8",
+              {1, 0, 0}},
+             {"slow-node:1,at=" + before_end + ",for=1,x=8",
+              {1, 0, 0}},
+             {"slow-node:2,at=" + before_end + ",for=1,x=8",
+              {1, 0, 0}},
+             {"slow-node:3,at=" + before_end + ",for=1,x=8",
+              {1, 0, 0}}}) {
+        MachineConfig cfg = clean;
+        cfg.faults.add(c.spec);
+        SequenceResult r = runFrameSequence(frames, cfg);
+        for (size_t f = 0; f < 3; ++f)
+            EXPECT_EQ(r.frames[f].faultStats.injected, c.perFrame[f])
+                << c.spec << " frame " << f;
+        EXPECT_NE(digestFrame(r.frames[0]), digestFrame(base.frames[0]))
+            << c.spec;
+    }
+}
+
 TEST(Sequence, PanCostsScaleWithDistanceUnderMultiprocessing)
 {
     Scene scene = wallScene();

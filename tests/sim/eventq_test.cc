@@ -192,45 +192,6 @@ TEST(EventQueue, RescheduleMovesToBackOfSameTick)
     EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
 
-TEST(EventQueue, RestoreClockJumpsIdleQueueForward)
-{
-    EventQueue eq;
-    eq.restoreClock(1234);
-    EXPECT_EQ(eq.curTick(), 1234u);
-    Tick seen = 0;
-    LambdaEvent e([&] { seen = eq.curTick(); });
-    eq.schedule(&e, 2000);
-    eq.run();
-    EXPECT_EQ(seen, 2000u);
-}
-
-TEST(EventQueueDeath, RestoreClockWithPendingEventsPanics)
-{
-    EventQueue eq;
-    LambdaEvent e([] {});
-    eq.schedule(&e, 10);
-    EXPECT_DEATH(eq.restoreClock(100), "already in use");
-    // The death assertion ran in a forked child; unschedule here so
-    // the parent's event is not destroyed while still queued.
-    eq.deschedule(&e);
-}
-
-TEST(EventQueueDeath, RestoreClockAfterProcessingPanics)
-{
-    EventQueue eq;
-    LambdaEvent e([] {});
-    eq.schedule(&e, 10);
-    eq.run();
-    EXPECT_DEATH(eq.restoreClock(100), "already in use");
-}
-
-TEST(EventQueueDeath, RestoreClockBackwardsPanics)
-{
-    EventQueue eq;
-    eq.restoreClock(100);
-    EXPECT_DEATH(eq.restoreClock(50), "backwards");
-}
-
 TEST(EventQueue, StressInterleavedScheduleDeschedule)
 {
     EventQueue eq;

@@ -15,8 +15,6 @@ TEST(BoundedFifo, StartsEmpty)
     EXPECT_TRUE(fifo.empty());
     EXPECT_FALSE(fifo.full());
     EXPECT_EQ(fifo.size(), 0u);
-    EXPECT_EQ(fifo.capacity(), 4u);
-    EXPECT_EQ(fifo.space(), 4u);
 }
 
 TEST(BoundedFifo, FifoOrder)
@@ -24,10 +22,8 @@ TEST(BoundedFifo, FifoOrder)
     BoundedFifo<int> fifo(8);
     for (int i = 0; i < 5; ++i)
         fifo.push(i);
-    for (int i = 0; i < 5; ++i) {
-        EXPECT_EQ(fifo.front(), i);
+    for (int i = 0; i < 5; ++i)
         EXPECT_EQ(fifo.pop(), i);
-    }
     EXPECT_TRUE(fifo.empty());
 }
 
@@ -39,7 +35,6 @@ TEST(BoundedFifo, FullAtCapacity)
     EXPECT_FALSE(fifo.full());
     fifo.push(3);
     EXPECT_TRUE(fifo.full());
-    EXPECT_EQ(fifo.space(), 0u);
     fifo.pop();
     EXPECT_FALSE(fifo.full());
 }
@@ -53,31 +48,6 @@ TEST(BoundedFifo, CapacityOne)
     EXPECT_TRUE(fifo.empty());
     fifo.push(43);
     EXPECT_EQ(fifo.pop(), 43);
-}
-
-TEST(BoundedFifo, MaxOccupancyHighWaterMark)
-{
-    BoundedFifo<int> fifo(10);
-    fifo.push(1);
-    fifo.push(2);
-    fifo.push(3);
-    fifo.pop();
-    fifo.pop();
-    fifo.push(4);
-    EXPECT_EQ(fifo.maxOccupancy(), 3u);
-    fifo.push(5);
-    fifo.push(6);
-    EXPECT_EQ(fifo.maxOccupancy(), 4u);
-}
-
-TEST(BoundedFifo, ClearResets)
-{
-    BoundedFifo<int> fifo(4);
-    fifo.push(1);
-    fifo.push(2);
-    fifo.clear();
-    EXPECT_TRUE(fifo.empty());
-    EXPECT_EQ(fifo.maxOccupancy(), 0u);
 }
 
 TEST(BoundedFifo, MoveOnlyFriendlyValueSemantics)
@@ -112,7 +82,6 @@ TEST(BoundedFifo, RepeatedFillDrainCyclesKeepOrder)
             EXPECT_EQ(fifo.pop(), expect++);
         EXPECT_EQ(expect, next);
     }
-    EXPECT_EQ(fifo.maxOccupancy(), 3u);
 }
 
 TEST(BoundedFifo, PartialDrainWraparound)
@@ -135,9 +104,8 @@ TEST(BoundedFifo, PartialDrainWraparound)
 
 TEST(BoundedFifo, ForcePushOverfillsThenDrains)
 {
-    // Degradation mode (and checkpoint refill) bypasses the capacity
-    // check; the queue must report over-capacity honestly and drain
-    // in order.
+    // Degradation mode bypasses the capacity check; the queue must
+    // report over-capacity honestly and drain in order.
     BoundedFifo<int> fifo(2);
     fifo.push(1);
     fifo.push(2);
@@ -145,49 +113,12 @@ TEST(BoundedFifo, ForcePushOverfillsThenDrains)
     fifo.forcePush(4);
     EXPECT_TRUE(fifo.full());
     EXPECT_EQ(fifo.size(), 4u);
-    EXPECT_EQ(fifo.space(), 0u);
-    EXPECT_EQ(fifo.maxOccupancy(), 4u);
     for (int i = 1; i <= 4; ++i)
         EXPECT_EQ(fifo.pop(), i);
     EXPECT_TRUE(fifo.empty());
     // Back under capacity: normal pushes work again.
     fifo.push(5);
     EXPECT_EQ(fifo.pop(), 5);
-}
-
-TEST(BoundedFifo, ContentsExposesQueueInOrder)
-{
-    BoundedFifo<int> fifo(4);
-    fifo.push(7);
-    fifo.push(8);
-    fifo.push(9);
-    fifo.pop();
-    const auto &snapshot = fifo.contents();
-    ASSERT_EQ(snapshot.size(), 2u);
-    EXPECT_EQ(snapshot[0], 8);
-    EXPECT_EQ(snapshot[1], 9);
-}
-
-TEST(BoundedFifo, RestoreHighWaterSetsCheckpointedMark)
-{
-    BoundedFifo<int> fifo(8);
-    fifo.push(1);
-    fifo.restoreHighWater(5);
-    EXPECT_EQ(fifo.maxOccupancy(), 5u);
-    // Growing past the restored mark raises it again.
-    for (int i = 0; i < 6; ++i)
-        fifo.push(i);
-    EXPECT_EQ(fifo.maxOccupancy(), 7u);
-}
-
-TEST(BoundedFifoDeath, RestoreHighWaterBelowOccupancyPanics)
-{
-    BoundedFifo<int> fifo(8);
-    fifo.push(1);
-    fifo.push(2);
-    fifo.push(3);
-    EXPECT_DEATH(fifo.restoreHighWater(2),
-                 "high-water below occupancy");
 }
 
 TEST(BoundedFifoDeath, PushToFullPanics)

@@ -29,6 +29,7 @@
  */
 
 #include <csignal>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -45,7 +46,6 @@
 #include "io/vfs.hh"
 #include "oracle/oracle.hh"
 #include "scene/benchmarks.hh"
-#include "scene/stats.hh"
 #include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 #include "trace/trace.hh"
@@ -322,11 +322,11 @@ runSingle(const SimOptions &opts, const Scene &scene)
                   << " node(s) lost, coverage preserved by "
                      "redistribution)\n";
     }
-    if (baseline && !result.failed && result.frameTime) {
-        std::cout << "speedup:           "
+    if (baseline && !result.failed && result.frameTime)
+        std::cout << "speedup:           " << std::fixed
+                  << std::setprecision(2)
                   << double(baseline) / double(result.frameTime)
                   << " (T1 = " << baseline << ")\n";
-    }
 
     if (!opts.resultCsv.empty()) {
         CsvWriter csv(opts.resultCsv);
